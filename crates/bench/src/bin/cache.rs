@@ -5,7 +5,7 @@
 //! the output directory; `DSD_BUDGET` / `DSD_SEED` as usual).
 
 use dsd_bench::{budget_from_env, env_u64, outcome_value, seed_from_env, write_bench_json};
-use dsd_core::{parallel_solve, DesignSolver, EvalCache, DEFAULT_CACHE_CAPACITY};
+use dsd_core::{DesignSolver, EvalCache, Portfolio, DEFAULT_CACHE_CAPACITY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
@@ -59,8 +59,12 @@ fn main() {
     );
 
     let seeds: Vec<u64> = (1..=env_u64("DSD_SEEDS", 4)).collect();
-    let parallel = parallel_solve(&env, budget, &seeds);
-    let shared = parallel.cache.expect("parallel_solve attaches a cache");
+    let parallel = Portfolio::new(&env)
+        .with_workers(seeds.len())
+        .with_cooperation(false)
+        .solve(budget, &seeds)
+        .outcome;
+    let shared = parallel.cache.expect("the portfolio attaches a cache");
     println!(
         "  parallel x{}: {:.3}s, shared cache {:.1}% hit rate ({} hits)",
         seeds.len(),

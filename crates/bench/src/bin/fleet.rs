@@ -4,10 +4,10 @@
 //! environments (`dsd_scenarios::fleet`) across a thread sweep
 //! (1/2/4/8/16 by default) and an app-count sweep, measuring aggregate
 //! candidate evaluations per second. For each instance it also runs the
-//! independent-restart baseline (`parallel_solve`) at the same per-seed
-//! budget and checks the portfolio's invariants: its best design costs
-//! no more than the baseline's and never less than the certified lower
-//! bound. Writes `BENCH_fleet.json` to `DSD_BENCH_DIR`.
+//! independent-restart baseline (the portfolio with cooperation off) at
+//! the same per-seed budget and checks the portfolio's invariants: its
+//! best design costs no more than the baseline's and never less than the
+//! certified lower bound. Writes `BENCH_fleet.json` to `DSD_BENCH_DIR`.
 //!
 //! Knobs: `DSD_APPS` (largest fleet in the sweep, default 256),
 //! `DSD_SEEDS` (restart seeds per run, default 8), `DSD_BUDGET`
@@ -15,7 +15,7 @@
 //! `DSD_MAX_THREADS` (caps the thread sweep, default 16).
 
 use dsd_bench::{env_u64, seed_from_env, write_bench_json};
-use dsd_core::{parallel_solve, Budget, Portfolio};
+use dsd_core::{Budget, Portfolio};
 use dsd_scenarios::fleet::{fleet, FleetParams};
 use serde::Value;
 
@@ -85,7 +85,11 @@ fn main() {
 
         // Invariant checks against the independent-restart baseline at
         // the same per-seed budget, and the certified lower bound.
-        let baseline = parallel_solve(&env, budget, &seeds);
+        let baseline = Portfolio::new(&env)
+            .with_workers(seeds.len())
+            .with_cooperation(false)
+            .solve(budget, &seeds)
+            .outcome;
         let baseline_cost =
             baseline.best.as_ref().map_or(f64::INFINITY, |b| env.score(b.cost()).as_f64());
         let bound = env.certified_lower_bound().total.as_f64();

@@ -30,6 +30,18 @@ pub struct AppAssignment {
     pub placement: Placement,
 }
 
+impl AppAssignment {
+    /// The evaluator input for `app` under this assignment.
+    fn protection(&self, app: AppId, env: &Environment) -> AppProtection {
+        AppProtection {
+            app,
+            technique: env.catalog[self.technique].clone(),
+            config: self.config,
+            placement: self.placement,
+        }
+    }
+}
+
 /// The two cost components of a solution (paper §2.5).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CostBreakdown {
@@ -579,15 +591,7 @@ impl Candidate {
     /// The evaluator inputs for the current assignments.
     #[must_use]
     pub fn protections(&self, env: &Environment) -> Vec<AppProtection> {
-        self.assignments
-            .iter()
-            .map(|(&app, a)| AppProtection {
-                app,
-                technique: env.catalog[a.technique].clone(),
-                config: a.config,
-                placement: a.placement,
-            })
-            .collect()
+        self.assignments.iter().map(|(&app, a)| a.protection(app, env)).collect()
     }
 
     /// Each assigned application's primary placement, for failure
@@ -693,21 +697,10 @@ impl Candidate {
             // In the `Dirty` path no primary moved, so scope membership
             // is unchanged and every clean scenario's digest is still
             // exact — a move prices only the shard it touches.
+            let in_step = digests.len() == scenarios.len();
             match refresh {
-                _ if digests.len() != scenarios.len() => {
-                    digests.clear();
-                    digests.extend(
-                        scenarios.iter().map(|s| crate::delta::combine(&s.scope, fingerprints)),
-                    );
-                }
-                MemoRefresh::Rebuilt => {
-                    digests.clear();
-                    digests.extend(
-                        scenarios.iter().map(|s| crate::delta::combine(&s.scope, fingerprints)),
-                    );
-                }
-                MemoRefresh::Dirty(dirty) if dirty.is_empty() => {}
-                MemoRefresh::Dirty(dirty) => {
+                MemoRefresh::Dirty(dirty) if in_step && dirty.is_empty() => {}
+                MemoRefresh::Dirty(dirty) if in_step => {
                     // Per-failure-scope recombination counts feed the
                     // profiler: which failure domain a move's cost
                     // concentrates in is a tuning signal.
@@ -728,6 +721,14 @@ impl Candidate {
                     dsd_obs::add("eval.recombine.data_object", by_scope[0]);
                     dsd_obs::add("eval.recombine.disk_array", by_scope[1]);
                     dsd_obs::add("eval.recombine.site_disaster", by_scope[2]);
+                }
+                // A rebuilt memo, or digests out of step with the
+                // scenario list: recombine every digest.
+                MemoRefresh::Rebuilt | MemoRefresh::Dirty(_) => {
+                    digests.clear();
+                    digests.extend(
+                        scenarios.iter().map(|s| crate::delta::combine(&s.scope, fingerprints)),
+                    );
                 }
             }
             let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
@@ -752,12 +753,7 @@ impl Candidate {
             memo.protections.clear();
             memo.fingerprints.clear();
             for (&app, a) in &self.assignments {
-                memo.protections.push(AppProtection {
-                    app,
-                    technique: env.catalog[a.technique].clone(),
-                    config: a.config,
-                    placement: a.placement,
-                });
+                memo.protections.push(a.protection(app, env));
                 memo.fingerprints.push(crate::delta::fingerprint_app(&self.provision, app, a));
             }
             memo.scenarios = env
@@ -774,12 +770,7 @@ impl Candidate {
             for (i, (&app, a)) in self.assignments.iter().enumerate() {
                 let assignment_stale = memo.stale_assignments.contains(&app);
                 if assignment_stale {
-                    memo.protections[i] = AppProtection {
-                        app,
-                        technique: env.catalog[a.technique].clone(),
-                        config: a.config,
-                        placement: a.placement,
-                    };
+                    memo.protections[i] = a.protection(app, env);
                 }
                 if assignment_stale || memo.stale_fingerprints.contains(&app) {
                     memo.fingerprints[i] = crate::delta::fingerprint_app(&self.provision, app, a);

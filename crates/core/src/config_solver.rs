@@ -59,27 +59,15 @@ impl<'e> ConfigurationSolver<'e> {
         (self.max_additions_quick, self.max_additions_full)
     }
 
-    /// Memoized [`ConfigurationSolver::complete`]: looks the candidate up
-    /// in `cache` first and replays the stored completion on a hit,
-    /// otherwise completes normally and stores the result.
+    /// Memoized [`ConfigurationSolver::complete_with`]: looks the
+    /// candidate up in `cache` first and replays the stored completion on
+    /// a hit, otherwise completes normally (reusing the caller-held
+    /// scenario-outcome cache) and stores the result.
     ///
     /// Completion is deterministic in the candidate state, thoroughness,
     /// and addition limits — all captured by the [`CandidateKey`] — and
     /// consumes no randomness, so cached and uncached searches are
     /// bit-identical. Returns the final cost and whether the lookup hit.
-    pub fn complete_cached(
-        &self,
-        candidate: &mut Candidate,
-        thoroughness: Thoroughness,
-        cache: &EvalCache,
-    ) -> (CostBreakdown, bool) {
-        let mut scache = ScenarioOutcomeCache::new();
-        self.complete_cached_with(candidate, thoroughness, cache, &mut scache)
-    }
-
-    /// [`ConfigurationSolver::complete_cached`] reusing a caller-held
-    /// scenario-outcome cache, so scenario-level reuse composes with the
-    /// completion-level [`EvalCache`] across nodes of one search.
     pub fn complete_cached_with(
         &self,
         candidate: &mut Candidate,

@@ -258,9 +258,8 @@ impl<'e> DesignSolver<'e> {
         self
     }
 
-    fn config_solver(&self) -> ConfigurationSolver<'e> {
-        ConfigurationSolver::new(self.env)
-            .with_addition_limits(self.addition_limits.0, self.addition_limits.1)
+    fn completer(&self) -> NodeCompleter<'e> {
+        NodeCompleter::new(self.env, self.addition_limits, self.cache)
     }
 
     /// Runs the full two-stage search until the budget expires and
@@ -270,7 +269,7 @@ impl<'e> DesignSolver<'e> {
         let _solve_span = obs::span("solver.solve", "solver");
         let mut tracker = budget.start();
         let mut stats = SolveStats::default();
-        let config = self.config_solver();
+        let completer = self.completer();
         let mut reconf = Reconfigurator::new(self.alpha_util);
         // One scenario-outcome cache for the whole run: scenario-level
         // reuse composes with the completion-level eval cache.
@@ -305,7 +304,7 @@ impl<'e> DesignSolver<'e> {
                 continue;
             };
             stats.greedy_builds += 1;
-            self.complete_node(&config, &mut current, Thoroughness::Quick, &mut stats, &mut scache);
+            completer.complete(&mut current, Thoroughness::Quick, &mut stats, &mut scache);
 
             progress::phase_entered("refit");
             let refit_span = obs::span("solver.refit", "solver");
@@ -335,7 +334,7 @@ impl<'e> DesignSolver<'e> {
         if let Some(b) = best.as_mut() {
             progress::phase_entered("polish");
             let _polish_span = obs::span("solver.polish", "solver");
-            self.complete_node(&config, b, Thoroughness::Full, &mut stats, &mut scache);
+            completer.complete(b, Thoroughness::Full, &mut stats, &mut scache);
         }
         stats.publish();
         if let Some(b) = &best {
@@ -358,37 +357,6 @@ impl<'e> DesignSolver<'e> {
             cache: self.cache.map(EvalCache::stats),
             bound: None,
         }
-    }
-
-    /// Completes one node through the attached cache (when present),
-    /// recording completion time, node count, and hit/miss counters.
-    fn complete_node(
-        &self,
-        config: &ConfigurationSolver<'e>,
-        candidate: &mut Candidate,
-        thoroughness: Thoroughness,
-        stats: &mut SolveStats,
-        scache: &mut ScenarioOutcomeCache,
-    ) {
-        let started = Stopwatch::start();
-        match self.cache {
-            Some(cache) => {
-                let (_, hit) = config.complete_cached_with(candidate, thoroughness, cache, scache);
-                if hit {
-                    stats.cache_hits += 1;
-                    obs::instant("cache.hit", "cache");
-                } else {
-                    stats.cache_misses += 1;
-                    obs::instant("cache.miss", "cache");
-                }
-            }
-            None => {
-                config.complete_with(candidate, thoroughness, scache);
-            }
-        }
-        stats.completion_time += started.elapsed();
-        stats.nodes_evaluated += 1;
-        obs::observe("solver.eval_latency", started.elapsed().as_secs_f64());
     }
 
     /// Stage 1: greedy best-fit (§3.1.1). Returns a complete feasible
@@ -486,7 +454,7 @@ impl<'e> DesignSolver<'e> {
     ) {
         // Refit nodes complete with the same addition limits as the rest
         // of the search, so one cache namespace covers both stages.
-        let config = self.config_solver();
+        let completer = self.completer();
         let explore = |node: &Candidate,
                        reconf: &mut Reconfigurator,
                        rng: &mut R,
@@ -505,7 +473,7 @@ impl<'e> DesignSolver<'e> {
             if !reconf.reconfigure_with(self.env, &mut next, scache, rng) {
                 return None;
             }
-            self.complete_node(&config, &mut next, Thoroughness::Quick, stats, scache);
+            completer.complete(&mut next, Thoroughness::Quick, stats, scache);
             if obs::enabled() {
                 obs::instant_with(
                     "refit.move",
@@ -563,6 +531,60 @@ impl<'e> DesignSolver<'e> {
             }
         }
         *current = best;
+    }
+}
+
+/// How every search strategy (design solver, annealing, tabu) completes
+/// a node: the configuration solver under the strategy's addition limits,
+/// through its optional shared [`EvalCache`], so their [`SolveStats`]
+/// count the same things.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeCompleter<'e> {
+    config: ConfigurationSolver<'e>,
+    cache: Option<&'e EvalCache>,
+}
+
+impl<'e> NodeCompleter<'e> {
+    pub(crate) fn new(
+        env: &'e Environment,
+        (quick, full): (usize, usize),
+        cache: Option<&'e EvalCache>,
+    ) -> Self {
+        NodeCompleter {
+            config: ConfigurationSolver::new(env).with_addition_limits(quick, full),
+            cache,
+        }
+    }
+
+    /// Completes one node, recording completion time, node count, and
+    /// cache hit/miss counters.
+    pub(crate) fn complete(
+        &self,
+        candidate: &mut Candidate,
+        thoroughness: Thoroughness,
+        stats: &mut SolveStats,
+        scache: &mut ScenarioOutcomeCache,
+    ) {
+        let started = Stopwatch::start();
+        match self.cache {
+            Some(cache) => {
+                let (_, hit) =
+                    self.config.complete_cached_with(candidate, thoroughness, cache, scache);
+                if hit {
+                    stats.cache_hits += 1;
+                    obs::instant("cache.hit", "cache");
+                } else {
+                    stats.cache_misses += 1;
+                    obs::instant("cache.miss", "cache");
+                }
+            }
+            None => {
+                self.config.complete_with(candidate, thoroughness, scache);
+            }
+        }
+        stats.completion_time += started.elapsed();
+        stats.nodes_evaluated += 1;
+        obs::observe("solver.eval_latency", started.elapsed().as_secs_f64());
     }
 }
 

@@ -24,8 +24,8 @@
 //! the same search trajectory.
 //!
 //! The cache is a bounded LRU, sharded so that
-//! [`parallel_solve`](crate::parallel_solve) workers can share one cache
-//! with low contention. Hit/miss/eviction counters feed the solver's
+//! [`Portfolio`](crate::Portfolio) workers can share one cache with low
+//! contention. Hit/miss/eviction counters feed the solver's
 //! instrumentation ([`SolveStats`](crate::SolveStats)).
 
 use std::collections::hash_map::DefaultHasher;
@@ -39,7 +39,7 @@ use serde::{Serialize, Value};
 use crate::candidate::{Candidate, CostBreakdown};
 use crate::config_solver::Thoroughness;
 
-/// Default entry capacity used by [`parallel_solve`](crate::parallel_solve).
+/// Default entry capacity used by [`Portfolio::solve`](crate::Portfolio::solve).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 const DEFAULT_SHARDS: usize = 8;

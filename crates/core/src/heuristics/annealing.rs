@@ -22,8 +22,8 @@ use dsd_recovery::ScenarioOutcomeCache;
 
 use crate::budget::{Budget, BudgetTracker};
 use crate::candidate::Candidate;
-use crate::config_solver::{ConfigurationSolver, Thoroughness};
-use crate::design_solver::{SolveOutcome, SolveStats};
+use crate::config_solver::Thoroughness;
+use crate::design_solver::{NodeCompleter, SolveOutcome, SolveStats};
 use crate::env::Environment;
 use crate::eval_cache::EvalCache;
 use crate::flight::{heartbeat, FlightPlan};
@@ -108,35 +108,8 @@ impl<'e> SimulatedAnnealing<'e> {
         self
     }
 
-    fn config_solver(&self) -> ConfigurationSolver<'e> {
-        ConfigurationSolver::new(self.env)
-            .with_addition_limits(self.addition_limits.0, self.addition_limits.1)
-    }
-
-    /// One completion through the optional cache, mirroring the design
-    /// solver's accounting.
-    fn complete(
-        &self,
-        config: &ConfigurationSolver<'e>,
-        candidate: &mut Candidate,
-        thoroughness: Thoroughness,
-        stats: &mut SolveStats,
-        scache: &mut ScenarioOutcomeCache,
-    ) {
-        match self.cache {
-            Some(cache) => {
-                let (_, hit) = config.complete_cached_with(candidate, thoroughness, cache, scache);
-                if hit {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.cache_misses += 1;
-                }
-            }
-            None => {
-                config.complete_with(candidate, thoroughness, scache);
-            }
-        }
-        stats.nodes_evaluated += 1;
+    fn completer(&self) -> NodeCompleter<'e> {
+        NodeCompleter::new(self.env, self.addition_limits, self.cache)
     }
 
     /// Anneals until the budget expires; returns the best design seen.
@@ -160,7 +133,7 @@ impl<'e> SimulatedAnnealing<'e> {
         let mut stats = SolveStats::default();
         let flight = FlightPlan::new(self.env);
         progress::phase_entered("anneal");
-        let config = self.config_solver();
+        let completer = self.completer();
 
         // Start from a random feasible design.
         let current = loop {
@@ -177,7 +150,7 @@ impl<'e> SimulatedAnnealing<'e> {
             tracker.tick();
             match random_design(self.env, 10, rng) {
                 Some(mut c) => {
-                    self.complete(&config, &mut c, Thoroughness::Quick, &mut stats, scache);
+                    completer.complete(&mut c, Thoroughness::Quick, &mut stats, scache);
                     stats.greedy_builds += 1;
                     break c;
                 }
@@ -206,9 +179,9 @@ impl<'e> SimulatedAnnealing<'e> {
         let mut stats = SolveStats::default();
         let flight = FlightPlan::new(self.env);
         progress::phase_entered("anneal");
-        let config = self.config_solver();
+        let completer = self.completer();
         let mut current = start;
-        self.complete(&config, &mut current, Thoroughness::Quick, &mut stats, scache);
+        completer.complete(&mut current, Thoroughness::Quick, &mut stats, scache);
         self.run(current, tracker, stats, &flight, scache, rng)
     }
 
@@ -222,7 +195,7 @@ impl<'e> SimulatedAnnealing<'e> {
         scache: &mut ScenarioOutcomeCache,
         rng: &mut R,
     ) -> SolveOutcome {
-        let config = self.config_solver();
+        let completer = self.completer();
         let mut reconf = Reconfigurator::default();
         let mut best = current.clone();
         flight.incumbent(best.cost().total(), stats.nodes_evaluated);
@@ -236,7 +209,7 @@ impl<'e> SimulatedAnnealing<'e> {
             if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
                 continue;
             }
-            self.complete(&config, &mut proposal, Thoroughness::Quick, &mut stats, scache);
+            completer.complete(&mut proposal, Thoroughness::Quick, &mut stats, scache);
 
             let delta =
                 self.env.score(proposal.cost()).as_f64() - self.env.score(current.cost()).as_f64();
@@ -271,7 +244,7 @@ impl<'e> SimulatedAnnealing<'e> {
             }
         }
 
-        self.complete(&config, &mut best, Thoroughness::Full, &mut stats, scache);
+        completer.complete(&mut best, Thoroughness::Full, &mut stats, scache);
         stats.publish();
         flight.incumbent(best.cost().total(), stats.nodes_evaluated);
         flight.done(Some(best.cost().total()), stats.nodes_evaluated);

@@ -21,7 +21,7 @@ pub struct SampleSummary {
     /// object failures. This is the dominant design-tradeoff behind the
     /// distribution's modes (§4.3.1 — "higher-cost solutions provide
     /// inadequate protection for workloads with stringent requirements";
-    /// §4.3.2 — every good design "employ[s] some form of tape backup").
+    /// §4.3.2 — every good design "employ\[s\] some form of tape backup").
     pub underprotected: Vec<usize>,
     /// Number of attempted samples that were infeasible.
     pub infeasible: usize,

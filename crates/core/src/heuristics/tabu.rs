@@ -22,8 +22,8 @@ use dsd_workload::AppId;
 
 use crate::budget::{Budget, BudgetTracker};
 use crate::candidate::Candidate;
-use crate::config_solver::{ConfigurationSolver, Thoroughness};
-use crate::design_solver::{SolveOutcome, SolveStats};
+use crate::config_solver::Thoroughness;
+use crate::design_solver::{NodeCompleter, SolveOutcome, SolveStats};
 use crate::env::Environment;
 use crate::eval_cache::EvalCache;
 use crate::flight::{heartbeat, FlightPlan};
@@ -83,35 +83,8 @@ impl<'e> TabuSearch<'e> {
         self
     }
 
-    fn config_solver(&self) -> ConfigurationSolver<'e> {
-        ConfigurationSolver::new(self.env)
-            .with_addition_limits(self.addition_limits.0, self.addition_limits.1)
-    }
-
-    /// One completion through the optional cache, mirroring the design
-    /// solver's accounting.
-    fn complete(
-        &self,
-        config: &ConfigurationSolver<'e>,
-        candidate: &mut Candidate,
-        thoroughness: Thoroughness,
-        stats: &mut SolveStats,
-        scache: &mut ScenarioOutcomeCache,
-    ) {
-        match self.cache {
-            Some(cache) => {
-                let (_, hit) = config.complete_cached_with(candidate, thoroughness, cache, scache);
-                if hit {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.cache_misses += 1;
-                }
-            }
-            None => {
-                config.complete_with(candidate, thoroughness, scache);
-            }
-        }
-        stats.nodes_evaluated += 1;
+    fn completer(&self) -> NodeCompleter<'e> {
+        NodeCompleter::new(self.env, self.addition_limits, self.cache)
     }
 
     /// Searches until the budget expires; returns the best design seen.
@@ -135,7 +108,7 @@ impl<'e> TabuSearch<'e> {
         let mut stats = SolveStats::default();
         let flight = FlightPlan::new(self.env);
         progress::phase_entered("tabu");
-        let config = self.config_solver();
+        let completer = self.completer();
 
         let current = loop {
             if tracker.expired() {
@@ -151,7 +124,7 @@ impl<'e> TabuSearch<'e> {
             tracker.tick();
             match random_design(self.env, 10, rng) {
                 Some(mut c) => {
-                    self.complete(&config, &mut c, Thoroughness::Quick, &mut stats, scache);
+                    completer.complete(&mut c, Thoroughness::Quick, &mut stats, scache);
                     stats.greedy_builds += 1;
                     break c;
                 }
@@ -179,9 +152,9 @@ impl<'e> TabuSearch<'e> {
         let mut stats = SolveStats::default();
         let flight = FlightPlan::new(self.env);
         progress::phase_entered("tabu");
-        let config = self.config_solver();
+        let completer = self.completer();
         let mut current = start;
-        self.complete(&config, &mut current, Thoroughness::Quick, &mut stats, scache);
+        completer.complete(&mut current, Thoroughness::Quick, &mut stats, scache);
         self.run(current, tracker, stats, &flight, scache, rng)
     }
 
@@ -195,7 +168,7 @@ impl<'e> TabuSearch<'e> {
         scache: &mut ScenarioOutcomeCache,
         rng: &mut R,
     ) -> SolveOutcome {
-        let config = self.config_solver();
+        let completer = self.completer();
         let mut reconf = Reconfigurator::default();
         let mut best = current.clone();
         flight.incumbent(best.cost().total(), stats.nodes_evaluated);
@@ -212,7 +185,7 @@ impl<'e> TabuSearch<'e> {
                 if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
                     continue;
                 }
-                self.complete(&config, &mut proposal, Thoroughness::Quick, &mut stats, scache);
+                completer.complete(&mut proposal, Thoroughness::Quick, &mut stats, scache);
                 let touched = touched_app(&current, &proposal);
                 let is_tabu = touched.is_some_and(|a| tabu.contains(&a));
                 let aspirates = self.env.score(proposal.cost()) < self.env.score(best.cost());
@@ -255,7 +228,7 @@ impl<'e> TabuSearch<'e> {
             }
         }
 
-        self.complete(&config, &mut best, Thoroughness::Full, &mut stats, scache);
+        completer.complete(&mut best, Thoroughness::Full, &mut stats, scache);
         stats.publish();
         flight.incumbent(best.cost().total(), stats.nodes_evaluated);
         flight.done(Some(best.cost().total()), stats.nodes_evaluated);

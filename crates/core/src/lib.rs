@@ -54,7 +54,6 @@ mod explain;
 mod flight;
 pub mod heuristics;
 mod objective;
-mod parallel;
 mod portfolio;
 mod reconfigure;
 mod tournament;
@@ -74,7 +73,6 @@ pub use exhaustive::{
 };
 pub use explain::{technique_marginals, CostAttribution, RunnerUp, TechniqueMarginal};
 pub use objective::Objective;
-pub use parallel::{parallel_solve, parallel_solve_with_cache};
 pub use portfolio::{Portfolio, PortfolioOutcome};
 pub use reconfigure::Reconfigurator;
 pub use tournament::{

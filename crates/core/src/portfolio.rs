@@ -1,10 +1,10 @@
 //! Work-stealing portfolio solver.
 //!
-//! [`parallel_solve`](crate::parallel_solve) runs one greedy/refit solver
-//! per seed — embarrassingly parallel, but every worker runs the *same*
-//! strategy and learns nothing from the others. The portfolio keeps those
-//! independent restarts as its backbone (so it can never do worse) and
-//! layers two cooperation mechanisms on top:
+//! The paper's search restarts many times within a budget, and
+//! independent restarts are embarrassingly parallel: the portfolio runs
+//! one greedy/refit [`DesignSolver`] task per seed and keeps the global
+//! best. With cooperation on, it keeps those independent restarts as its
+//! backbone (so it can never do worse) and layers two mechanisms on top:
 //!
 //! * **a shared incumbent** — a seqlock-style slot (atomic epoch + atomic
 //!   cost bits + guarded payload) every finished task publishes into.
@@ -23,12 +23,13 @@
 //! # Determinism and the baseline guarantee
 //!
 //! The final winner is an order-independent *min* over all task results
-//! under the total order (score, seed, strategy rank). Greedy tasks run
-//! the exact same solver, seeds, and budget as
-//! [`parallel_solve`](crate::parallel_solve), and shared-cache replays are
-//! bit-identical, so the portfolio's winner costs no more than the
-//! independent-restart baseline's regardless of thread scheduling. With
-//! one worker and cooperation off the portfolio *is* the sequential
+//! under the total order (score, seed, strategy rank), so ties break by
+//! lowest seed and the winner is a pure function of the seed set. Greedy
+//! tasks are the independent-restart baseline (what
+//! [`Portfolio::with_cooperation`]`(false)` runs alone) and shared-cache
+//! replays are bit-identical, so the cooperative portfolio's winner costs
+//! no more than the baseline's regardless of thread scheduling. With one
+//! worker and cooperation off the portfolio *is* the sequential
 //! min-over-seeds, bit for bit.
 
 use std::collections::VecDeque;
@@ -180,7 +181,7 @@ impl SharedIncumbent {
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The winning design and merged run statistics (stats are summed
-    /// over every task, like [`crate::parallel_solve`]).
+    /// over every task).
     pub outcome: SolveOutcome,
     /// Worker threads used.
     pub workers: usize,
@@ -240,10 +241,10 @@ impl<'e> Portfolio<'e> {
         self.workers
     }
 
-    /// Toggles cooperation. When off, only the greedy baseline tasks run
-    /// — one worker then reproduces the sequential min-over-seeds bit for
-    /// bit; many workers reproduce [`crate::parallel_solve`] (with its
-    /// lowest-seed tie-break).
+    /// Toggles cooperation. When off, only the greedy baseline tasks run:
+    /// independent restarts, one [`DesignSolver`] per seed. One worker
+    /// then reproduces the sequential min-over-seeds bit for bit, and any
+    /// worker count picks the same winner (ties break by lowest seed).
     #[must_use]
     pub fn with_cooperation(mut self, cooperation: bool) -> Self {
         self.cooperation = cooperation;
@@ -543,8 +544,9 @@ mod tests {
         let e = env();
         let budget = Budget::iterations(10);
         let seeds = [1u64, 2, 3, 4];
-        let baseline = crate::parallel::parallel_solve(&e, budget, &seeds);
-        let baseline_cost = e.score(baseline.best.expect("feasible").cost());
+        let baseline =
+            Portfolio::new(&e).with_workers(4).with_cooperation(false).solve(budget, &seeds);
+        let baseline_cost = e.score(baseline.outcome.best.expect("feasible").cost());
         let portfolio = Portfolio::new(&e).with_workers(4).solve(budget, &seeds);
         let portfolio_cost = e.score(portfolio.outcome.best.expect("feasible").cost());
         assert!(
@@ -557,6 +559,32 @@ mod tests {
             "portfolio {portfolio_cost:?} below certified lower bound {bound:?}"
         );
         assert_eq!(portfolio.tasks, 12, "4 seeds x 3 strategies");
+    }
+
+    #[test]
+    fn ties_break_by_lowest_seed_regardless_of_scheduling() {
+        let e = env();
+        let budget = Budget::iterations(10);
+        let independent = |seeds: &[u64]| {
+            let run =
+                Portfolio::new(&e).with_workers(4).with_cooperation(false).solve(budget, seeds);
+            run.outcome.best.map(|c| c.cost().total().as_f64().to_bits())
+        };
+        // Duplicated seeds force exact cost ties; the merge must then be
+        // deterministic across runs even though thread finish order is
+        // not. Shuffled seed order must not change the winner either.
+        assert_eq!(independent(&[5, 5, 5, 5]), independent(&[5, 5, 5, 5]));
+        assert_eq!(independent(&[1, 2, 3]), independent(&[3, 2, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one seed")]
+    fn empty_seed_list_rejected() {
+        let e = env();
+        let _ = Portfolio::new(&e)
+            .with_workers(4)
+            .with_cooperation(false)
+            .solve(Budget::iterations(1), &[]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use dsd_core::{
     heuristics::{HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch},
-    lower_bound, parallel_solve, Budget, Certificate, DesignSolver, Environment,
+    lower_bound, Budget, Certificate, DesignSolver, Environment, Portfolio,
 };
 use dsd_failure::{FailureModel, FailureRates};
 use dsd_obs::progress::{self, ProgressChannel, ProgressKind};
@@ -121,48 +121,56 @@ fn design_solver_stream_is_ordered_and_certified() {
     }
 }
 
-/// `parallel_solve` propagates the channel: heartbeats from N workers
-/// interleave in one queue under distinct worker lanes, and emission
-/// keeps the parallel result bit-identical.
+/// The independent-restart portfolio propagates the channel: events from
+/// every task interleave in one queue under worker lanes, and emission
+/// keeps the result bit-identical. (Counts are per task, not per worker:
+/// a worker that finishes early may legally steal a task.)
 #[test]
-fn parallel_workers_interleave_in_distinct_lanes() {
+fn portfolio_workers_interleave_in_one_queue() {
     let e = env(4);
     let seeds = [1u64, 2, 3, 4];
     let budget = Budget::iterations(12);
-    let bare = parallel_solve(&e, budget, &seeds);
+    let solve = || {
+        Portfolio::new(&e).with_workers(seeds.len()).with_cooperation(false).solve(budget, &seeds)
+    };
+    let bare = solve();
 
     let channel = ProgressChannel::new();
     let instrumented = {
         let _g = channel.install();
-        parallel_solve(&e, budget, &seeds)
+        solve()
     };
     assert_eq!(
-        bare.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
-        instrumented.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
-        "progress emission must not perturb the parallel search"
+        bare.outcome.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
+        instrumented.outcome.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
+        "progress emission must not perturb the portfolio search"
     );
+    assert_eq!(instrumented.tasks, seeds.len() as u64);
 
     let events = channel.poll();
-    let heartbeat_workers: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter(|e| matches!(e.kind, ProgressKind::WorkerHeartbeat { .. }))
-        .map(|e| e.worker)
-        .collect();
-    assert_eq!(heartbeat_workers.len(), seeds.len(), "one heartbeat lane per worker");
     // The fan-out parent (lane of the installing thread) emits the
-    // parallel phase marker; workers emit the solver phases.
+    // portfolio phase marker; workers emit the solver phases.
     assert!(events
         .iter()
-        .any(|e| e.kind == ProgressKind::PhaseEntered { phase: "parallel".into() }));
+        .any(|e| e.kind == ProgressKind::PhaseEntered { phase: "portfolio".into() }));
+    let greedy_phases = events
+        .iter()
+        .filter(|e| e.kind == ProgressKind::PhaseEntered { phase: "greedy".into() })
+        .count();
+    assert!(greedy_phases >= seeds.len(), "every task enters the greedy phase");
     let dones = events.iter().filter(|e| matches!(e.kind, ProgressKind::Done { .. })).count();
-    assert_eq!(dones, seeds.len(), "every worker reports done");
+    assert_eq!(dones, seeds.len(), "every task reports done");
 
-    // Per-lane incumbents stay monotone even though lanes interleave.
-    for worker in &heartbeat_workers {
-        let lane: Vec<f64> = incumbent_costs(
-            &events.iter().filter(|e| e.worker == *worker).cloned().collect::<Vec<_>>(),
-        );
-        assert!(lane.windows(2).all(|w| w[1] <= w[0]), "lane {worker} monotone: {lane:?}");
+    // Per-task incumbents stay monotone even though lanes interleave: a
+    // lane's events split into tasks at each `done`.
+    let lanes: std::collections::BTreeSet<u64> = events.iter().map(|e| e.worker).collect();
+    for worker in lanes {
+        let lane: Vec<ProgressEvent> =
+            events.iter().filter(|e| e.worker == worker).cloned().collect();
+        for task in lane.split_inclusive(|e| matches!(e.kind, ProgressKind::Done { .. })) {
+            let costs = incumbent_costs(task);
+            assert!(costs.windows(2).all(|w| w[1] <= w[0]), "lane {worker} monotone: {costs:?}");
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Scenario evaluation: loss times, recovery times, expected penalties.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -493,16 +494,8 @@ impl<'a> Evaluator<'a> {
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
     ) -> (PenaltySummary, Vec<ScenarioOutcome>) {
-        let mut penalties_span = dsd_obs::span("recovery.annual_penalties", "recovery");
-        penalties_span.arg("scenarios", scenarios.len());
-        let mut summary = PenaltySummary::default();
-        let mut details = Vec::with_capacity(scenarios.len());
-        for scenario in scenarios {
-            let outcome = self.evaluate_scenario(protections, &scenario.scope);
-            accumulate(self.workloads, &mut summary, scenario, &outcome);
-            details.push(outcome);
-        }
-        (summary, details)
+        let details = Vec::with_capacity(scenarios.len());
+        self.fold_penalties(protections, scenarios, Outcomes::Computed, details)
     }
 
     /// [`Self::annual_penalties`] with full cost attribution: alongside
@@ -519,15 +512,7 @@ impl<'a> Evaluator<'a> {
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
     ) -> (PenaltySummary, Vec<PenaltyItem>) {
-        let mut penalties_span = dsd_obs::span("recovery.annual_penalties", "recovery");
-        penalties_span.arg("scenarios", scenarios.len());
-        let mut summary = PenaltySummary::default();
-        let mut items = Vec::new();
-        for scenario in scenarios {
-            let outcome = self.evaluate_scenario(protections, &scenario.scope);
-            accumulate_items(self.workloads, &mut summary, scenario, &outcome, Some(&mut items));
-        }
-        (summary, items)
+        self.fold_penalties(protections, scenarios, Outcomes::Computed, Vec::new())
     }
 
     /// [`Self::annual_penalties`] with scope-keyed scenario memoization:
@@ -555,19 +540,8 @@ impl<'a> Evaluator<'a> {
         digests: &[ScenarioDigest],
         cache: &mut ScenarioOutcomeCache,
     ) -> (PenaltySummary, Vec<ScenarioOutcome>) {
-        assert_eq!(scenarios.len(), digests.len(), "one dependency-slice digest per scenario");
-        let mut penalties_span = dsd_obs::span("recovery.annual_penalties", "recovery");
-        penalties_span.arg("scenarios", scenarios.len());
-        let mut summary = PenaltySummary::default();
-        let mut details = Vec::with_capacity(scenarios.len());
-        for (scenario, &digest) in scenarios.iter().zip(digests) {
-            let outcome = cache.get_or_insert_with(&scenario.scope, digest, || {
-                self.evaluate_scenario(protections, &scenario.scope)
-            });
-            accumulate(self.workloads, &mut summary, scenario, outcome);
-            details.push(outcome.clone());
-        }
-        (summary, details)
+        let details = Vec::with_capacity(scenarios.len());
+        self.fold_penalties(protections, scenarios, Outcomes::Cached { digests, cache }, details)
     }
 
     /// [`Self::annual_penalties_cached`] without materializing the
@@ -586,69 +560,101 @@ impl<'a> Evaluator<'a> {
         digests: &[ScenarioDigest],
         cache: &mut ScenarioOutcomeCache,
     ) -> PenaltySummary {
-        assert_eq!(scenarios.len(), digests.len(), "one dependency-slice digest per scenario");
+        self.fold_penalties(protections, scenarios, Outcomes::Cached { digests, cache }, ()).0
+    }
+
+    /// The one penalty fold behind every `annual_penalties*` entry point:
+    /// takes each scenario's outcome from `source`, adds its
+    /// likelihood-weighted outage and loss penalties to the summary in
+    /// scenario order (then app order), and hands the outcome and the
+    /// per-app line items to `collect`. Every entry point thus performs
+    /// literally the same floating-point operations in the same order,
+    /// so cached, attributed and plain totals are bit-identical.
+    fn fold_penalties<C: Collect>(
+        &self,
+        protections: &[AppProtection],
+        scenarios: &[FailureScenario],
+        mut source: Outcomes<'_>,
+        mut collect: C,
+    ) -> (PenaltySummary, C) {
+        if let Outcomes::Cached { digests, .. } = &source {
+            assert_eq!(scenarios.len(), digests.len(), "one dependency-slice digest per scenario");
+        }
         let mut penalties_span = dsd_obs::span("recovery.annual_penalties", "recovery");
         penalties_span.arg("scenarios", scenarios.len());
         let mut summary = PenaltySummary::default();
-        for (scenario, &digest) in scenarios.iter().zip(digests) {
-            let outcome = cache.get_or_insert_with(&scenario.scope, digest, || {
-                self.evaluate_scenario(protections, &scenario.scope)
-            });
-            accumulate(self.workloads, &mut summary, scenario, outcome);
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let outcome = match &mut source {
+                Outcomes::Computed => {
+                    Cow::Owned(self.evaluate_scenario(protections, &scenario.scope))
+                }
+                Outcomes::Cached { digests, cache } => {
+                    Cow::Borrowed(cache.get_or_insert_with(&scenario.scope, digests[i], || {
+                        self.evaluate_scenario(protections, &scenario.scope)
+                    }))
+                }
+            };
+            for o in &outcome.outcomes {
+                let model = self.workloads[o.app].penalty_model();
+                let outage_raw = model.outage_penalty(o.recovery_time);
+                let loss_raw = model.loss_penalty(o.loss_time);
+                let outage = scenario.likelihood * outage_raw;
+                let loss = scenario.likelihood * loss_raw;
+                summary.outage += outage;
+                summary.loss += loss;
+                let entry = summary.per_app.entry(o.app).or_insert((Dollars::ZERO, Dollars::ZERO));
+                entry.0 += outage;
+                entry.1 += loss;
+                collect.item(PenaltyItem {
+                    scope: outcome.scope,
+                    likelihood: scenario.likelihood,
+                    app: o.app,
+                    path: o.path,
+                    recovery_time: o.recovery_time,
+                    loss_time: o.loss_time,
+                    outage_raw,
+                    loss_raw,
+                    outage,
+                    loss,
+                });
+            }
+            collect.outcome(outcome);
         }
-        summary
+        (summary, collect)
     }
 }
 
-/// Folds one scenario's outcome into the running penalty summary. Shared
-/// by the cached and uncached paths so both perform literally the same
-/// floating-point operations in the same order (bit-identity).
-fn accumulate(
-    workloads: &WorkloadSet,
-    summary: &mut PenaltySummary,
-    scenario: &FailureScenario,
-    outcome: &ScenarioOutcome,
-) {
-    accumulate_items(workloads, summary, scenario, outcome, None);
+/// Where [`Evaluator::fold_penalties`] gets each scenario's outcome.
+enum Outcomes<'c> {
+    /// Evaluate every scenario afresh.
+    Computed,
+    /// Replay from a scope-keyed cache; `digests[i]` keys `scenarios[i]`.
+    Cached { digests: &'c [ScenarioDigest], cache: &'c mut ScenarioOutcomeCache },
 }
 
-/// [`accumulate`], optionally recording one [`PenaltyItem`] per affected
-/// application as it folds. The weighted `outage` / `loss` stored in each
-/// item are the very values added to the summary, so an in-order fold of
-/// the items reproduces the summary bit-for-bit.
-fn accumulate_items(
-    workloads: &WorkloadSet,
-    summary: &mut PenaltySummary,
-    scenario: &FailureScenario,
-    outcome: &ScenarioOutcome,
-    mut items: Option<&mut Vec<PenaltyItem>>,
-) {
-    for o in &outcome.outcomes {
-        let app = &workloads[o.app];
-        let model = app.penalty_model();
-        let outage_raw = model.outage_penalty(o.recovery_time);
-        let loss_raw = model.loss_penalty(o.loss_time);
-        let outage = scenario.likelihood * outage_raw;
-        let loss = scenario.likelihood * loss_raw;
-        summary.outage += outage;
-        summary.loss += loss;
-        let entry = summary.per_app.entry(o.app).or_insert((Dollars::ZERO, Dollars::ZERO));
-        entry.0 += outage;
-        entry.1 += loss;
-        if let Some(list) = items.as_deref_mut() {
-            list.push(PenaltyItem {
-                scope: outcome.scope,
-                likelihood: scenario.likelihood,
-                app: o.app,
-                path: o.path,
-                recovery_time: o.recovery_time,
-                loss_time: o.loss_time,
-                outage_raw,
-                loss_raw,
-                outage,
-                loss,
-            });
-        }
+/// What [`Evaluator::fold_penalties`] keeps besides the totals: nothing
+/// (`()`), the per-scenario outcomes, or the per-app [`PenaltyItem`]s.
+/// The weighted `outage` / `loss` in each item are the very values added
+/// to the summary, so an in-order fold of the items reproduces it
+/// bit-for-bit.
+trait Collect {
+    /// One (scenario × affected application) line item, in fold order.
+    fn item(&mut self, _item: PenaltyItem) {}
+    /// One scenario's outcome, after its items.
+    fn outcome(&mut self, _outcome: Cow<'_, ScenarioOutcome>) {}
+}
+
+impl Collect for () {}
+
+impl Collect for Vec<ScenarioOutcome> {
+    fn outcome(&mut self, outcome: Cow<'_, ScenarioOutcome>) {
+        self.push(outcome.into_owned());
+    }
+}
+
+impl Collect for Vec<PenaltyItem> {
+    fn item(&mut self, item: PenaltyItem) {
+        self.push(item);
     }
 }
 
@@ -939,6 +945,33 @@ mod tests {
         }
         assert_eq!(full_details, cold_details, "details order and content match");
         assert_eq!(full_details, warm_details);
+    }
+
+    #[test]
+    fn every_penalty_entry_point_opens_one_span() {
+        let (w, p, prot) = setup("sync mirror (F) with backup");
+        let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
+        let model = FailureModel::new(FailureRates::case_study());
+        let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
+        let digests: Vec<ScenarioDigest> =
+            (0..scenarios.len()).map(|i| ScenarioDigest(i as u64, 0)).collect();
+        let protections = std::slice::from_ref(&prot);
+        let mut cache = ScenarioOutcomeCache::new();
+        let recorder = dsd_obs::Recorder::new();
+        {
+            let _g = recorder.install();
+            let _ = ev.annual_penalties(protections, &scenarios);
+            let _ = ev.annual_penalties_attributed(protections, &scenarios);
+            let _ = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
+            let _ =
+                ev.annual_penalties_cached_totals(protections, &scenarios, &digests, &mut cache);
+        }
+        let spans = recorder
+            .drain_events()
+            .iter()
+            .filter(|e| e.name == "recovery.annual_penalties")
+            .count();
+        assert_eq!(spans, 4, "one fold span per call, whatever the entry point");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based integration tests over randomized environments.
 
 use dsd::core::{
-    parallel_solve_with_cache, Budget, CandidateKey, ConfigurationSolver, DesignSolver,
-    Environment, EvalCache, Reconfigurator, Thoroughness, DEFAULT_CACHE_CAPACITY,
+    Budget, CandidateKey, ConfigurationSolver, DesignSolver, Environment, EvalCache, Portfolio,
+    Reconfigurator, Thoroughness, DEFAULT_CACHE_CAPACITY,
 };
 use dsd::failure::{FailureModel, FailureRates};
 use dsd::protection::TechniqueCatalog;
@@ -188,7 +188,11 @@ fn parallel_shared_cache_beats_or_matches_every_single_seed() {
     let budget = Budget::iterations(8);
     let seeds = [1u64, 2, 3];
     let cache = EvalCache::new(DEFAULT_CACHE_CAPACITY);
-    let par = parallel_solve_with_cache(&env, budget, &seeds, &cache);
+    let par = Portfolio::new(&env)
+        .with_workers(seeds.len())
+        .with_cooperation(false)
+        .solve_with_cache(budget, &seeds, &cache)
+        .outcome;
     let par_cost = par.best.as_ref().expect("peer sites are solvable").cost().total();
     for seed in seeds {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
