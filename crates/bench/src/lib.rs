@@ -11,12 +11,7 @@
 //! DSD_BUDGET=500 DSD_SEED=7 cargo run -p dsd-bench --release --bin figure3
 //! ```
 
-pub mod history;
-
-use std::path::PathBuf;
-
-use dsd_core::{Budget, SolveOutcome};
-use serde::Value;
+use dsd_core::Budget;
 
 /// Default solver iteration budget for the experiment binaries
 /// (overridable via `DSD_BUDGET`).
@@ -42,67 +37,6 @@ pub fn budget_from_env() -> Budget {
 #[must_use]
 pub fn seed_from_env() -> u64 {
     env_u64("DSD_SEED", DEFAULT_SEED)
-}
-
-/// Summarizes a [`SolveOutcome`]'s instrumentation as a JSON value:
-/// best cost, node counts, per-stage wall times, throughput, and the
-/// evaluation-cache counters when a cache was attached.
-#[must_use]
-pub fn outcome_value(outcome: &SolveOutcome) -> Value {
-    let stats = outcome.stats;
-    let mut map = vec![
-        (
-            "best_total_cost".to_string(),
-            match &outcome.best {
-                Some(best) => Value::Float(best.cost().total().as_f64()),
-                None => Value::Null,
-            },
-        ),
-        (
-            "nodes_evaluated".to_string(),
-            Value::Int(i64::try_from(stats.nodes_evaluated).unwrap_or(i64::MAX)),
-        ),
-        ("elapsed_secs".to_string(), Value::Float(outcome.elapsed.as_secs_f64())),
-        ("evals_per_sec".to_string(), Value::Float(outcome.evals_per_sec())),
-        ("greedy_secs".to_string(), Value::Float(stats.greedy_time.as_secs_f64())),
-        ("refit_secs".to_string(), Value::Float(stats.refit_time.as_secs_f64())),
-        ("completion_secs".to_string(), Value::Float(stats.completion_time.as_secs_f64())),
-    ];
-    if let Some(cache) = outcome.cache {
-        map.push((
-            "cache".to_string(),
-            Value::Map(vec![
-                ("hits".to_string(), Value::Int(i64::try_from(cache.hits).unwrap_or(i64::MAX))),
-                ("misses".to_string(), Value::Int(i64::try_from(cache.misses).unwrap_or(i64::MAX))),
-                (
-                    "evictions".to_string(),
-                    Value::Int(i64::try_from(cache.evictions).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "entries".to_string(),
-                    Value::Int(i64::try_from(cache.entries).unwrap_or(i64::MAX)),
-                ),
-                ("hit_rate".to_string(), Value::Float(cache.hit_rate())),
-            ]),
-        ));
-    }
-    Value::Map(map)
-}
-
-/// Writes `value` pretty-printed to `BENCH_<name>.json` in the directory
-/// named by `DSD_BENCH_DIR` (default: the current directory) and returns
-/// the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the write.
-pub fn write_bench_json(name: &str, value: &Value) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("DSD_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = PathBuf::from(dir).join(format!("BENCH_{name}.json"));
-    let text = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(&path, text)?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -754,53 +754,6 @@ pub fn cmd_obs_curve(
     Ok((text, json, csv))
 }
 
-/// `dsd bench history [--quick]` — run the perf-history pass (the bench
-/// binaries plus an in-process instrumented solve) and append one
-/// schema-versioned record to `BENCH_history.jsonl` in `DSD_BENCH_DIR`.
-///
-/// # Errors
-///
-/// Filesystem errors from the append.
-pub fn cmd_bench_history(quick: bool, skip_bins: bool) -> Result<String, Box<dyn Error>> {
-    let cfg = dsd_bench::history::HistoryConfig::from_env(quick, skip_bins);
-    let (record, path) = dsd_bench::history::run_history(&cfg)?;
-    let mut out = String::new();
-    if let Some(solver) = record.get("solver") {
-        let _ = writeln!(out, "solver: {}", dsd_obs::export::to_compact_json(solver));
-    }
-    if let Some(serde::Value::Map(benches)) = record.get("benches") {
-        for (name, section) in benches {
-            let ok = matches!(section.get("ok"), Some(serde::Value::Bool(true)));
-            let _ = writeln!(out, "bench {name}: {}", if ok { "ok" } else { "SKIPPED/FAILED" });
-        }
-    }
-    let _ = writeln!(out, "history record appended to {}", path.display());
-    Ok(out)
-}
-
-/// `dsd bench compare [--tolerance PCT] [--fail-on-regression]` — diff
-/// the latest `BENCH_history.jsonl` record against the previous one
-/// (or itself when the log holds a single record). Returns the rendered
-/// report and the count of regressions beyond the tolerance; the caller
-/// turns a nonzero count into a nonzero exit under
-/// `--fail-on-regression`.
-///
-/// # Errors
-///
-/// A missing or empty history log.
-pub fn cmd_bench_compare(tolerance_pct: f64) -> Result<(String, usize), Box<dyn Error>> {
-    let cfg = dsd_bench::history::HistoryConfig::from_env(false, false);
-    let path = cfg.history_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let (records, skipped) = dsd_bench::history::load_history(&text);
-    let (mut out, regressions) = dsd_bench::history::compare_latest(&records, tolerance_pct)?;
-    if skipped > 0 {
-        let _ = writeln!(out, "parse.skipped: {skipped} malformed history lines ignored");
-    }
-    Ok((out, regressions))
-}
-
 /// Builds an environment directly from spec text (helper for tests and
 /// the binary's validation path).
 ///
@@ -928,22 +881,6 @@ mod tests {
         assert!(json.contains("time_to_5pct_gap_secs"), "{json}");
         assert!(csv.starts_with("run,elapsed_secs,cost,gap_pct"), "{csv}");
         assert!(cmd_obs_curve(&[("bad".to_string(), "not a log".to_string())], None).is_err());
-    }
-
-    #[test]
-    fn bench_history_appends_and_self_compares_clean() {
-        let dir = std::env::temp_dir().join(format!("dsd-clihist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("DSD_BENCH_DIR", &dir);
-        let out = cmd_bench_history(true, true).expect("history runs");
-        assert!(out.contains("history record appended"), "{out}");
-        assert!(out.contains("solver:"), "{out}");
-        let (report, regressions) = cmd_bench_compare(10.0).expect("compares");
-        assert_eq!(regressions, 0, "{report}");
-        assert!(report.contains("single record"), "{report}");
-        assert!(report.contains("0 regressions"), "{report}");
-        std::env::remove_var("DSD_BENCH_DIR");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

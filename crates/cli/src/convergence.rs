@@ -15,7 +15,7 @@ use dsd_obs::ProgressEvent;
 use serde::Value;
 
 /// Gap milestones (percent above the certificate lower bound) reported
-/// as time-to-gap. 5% is the headline number the bench history tracks.
+/// as time-to-gap. 5% is the headline number the A/B table compares.
 pub const GAP_THRESHOLDS: &[f64] = &[50.0, 20.0, 10.0, 5.0, 2.0, 1.0];
 
 /// One incumbent-improvement sample on the curve.

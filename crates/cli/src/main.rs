@@ -14,8 +14,6 @@
 //! dsd obs flame trace.jsonl [--chrome-trace enriched.json]
 //! dsd obs curve progress.jsonl... [--json report.json] [--csv curve.csv]
 //! dsd obs diff run-a.json run-b.json [--fail-on-regression]
-//! dsd bench history [--quick]
-//! dsd bench compare [--tolerance PCT] [--fail-on-regression]
 //! dsd tournament [--budget N] [--seed N] [--apps N] [--json report.json]
 //! ```
 
@@ -24,14 +22,14 @@ use std::fs;
 use std::process::ExitCode;
 
 use dsd_cli::commands::{
-    cmd_analyze_trace, cmd_bench_compare, cmd_bench_history, cmd_design, cmd_evaluate,
-    cmd_experiment, cmd_explain, cmd_init, cmd_obs_curve, cmd_obs_diff, cmd_obs_flame,
-    cmd_obs_profile, cmd_obs_summary, cmd_tables, cmd_tournament, RunOptions,
+    cmd_analyze_trace, cmd_design, cmd_evaluate, cmd_experiment, cmd_explain, cmd_init,
+    cmd_obs_curve, cmd_obs_diff, cmd_obs_flame, cmd_obs_profile, cmd_obs_summary, cmd_tables,
+    cmd_tournament, RunOptions,
 };
 use dsd_cli::live::ProgressMonitor;
 
 fn usage() -> &'static str {
-    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd bench history [--quick] [--skip-bins]\n  dsd bench compare [--tolerance PCT] [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
 }
 
 /// Output-file options pulled from the flags.
@@ -48,11 +46,8 @@ struct OutputPaths {
     top: Option<usize>,
     apps: Option<usize>,
     lane: Option<u64>,
-    tolerance: Option<f64>,
     fail_on_regression: bool,
     progress: bool,
-    quick: bool,
-    skip_bins: bool,
 }
 
 impl OutputPaths {
@@ -129,11 +124,6 @@ fn parse_flags(args: &[String]) -> Result<(Vec<&str>, RunOptions, OutputPaths), 
                 i += 1;
                 out.progress_log = Some(args.get(i).ok_or("--progress-log needs a path")?.clone());
             }
-            "--tolerance" => {
-                i += 1;
-                let v = args.get(i).ok_or("--tolerance needs a value")?;
-                out.tolerance = Some(v.parse().map_err(|_| format!("bad tolerance: {v}"))?);
-            }
             "--top" => {
                 i += 1;
                 let v = args.get(i).ok_or("--top needs a value")?;
@@ -146,8 +136,6 @@ fn parse_flags(args: &[String]) -> Result<(Vec<&str>, RunOptions, OutputPaths), 
             }
             "--fail-on-regression" => out.fail_on_regression = true,
             "--progress" => out.progress = true,
-            "--quick" => out.quick = true,
-            "--skip-bins" => out.skip_bins = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag: {flag}").into());
             }
@@ -317,17 +305,6 @@ fn run() -> Result<(), Box<dyn Error>> {
             if let Some(path) = outputs.csv {
                 fs::write(&path, csv)?;
                 println!("curve csv written to {path}");
-            }
-        }
-        ["bench", "history"] => {
-            print!("{}", cmd_bench_history(outputs.quick, outputs.skip_bins)?);
-        }
-        ["bench", "compare"] => {
-            let tolerance = outputs.tolerance.unwrap_or(dsd_bench::history::DEFAULT_TOLERANCE_PCT);
-            let (text, regressions) = cmd_bench_compare(tolerance)?;
-            print!("{text}");
-            if outputs.fail_on_regression && regressions > 0 {
-                return Err(format!("{regressions} perf regressions beyond tolerance").into());
             }
         }
         ["obs", "diff", a_path, b_path] => {

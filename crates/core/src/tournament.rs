@@ -7,8 +7,8 @@
 //! small enough to enumerate) and to the relaxation lower bound
 //! (everywhere). Every instance also checks the certified ordering
 //! `lower_bound ≤ exhaustive ≤ heuristic`; violations indicate a bug in
-//! the bound or the evaluator and are surfaced as counters so the bench
-//! binary and CI can fail on them.
+//! the bound or the evaluator and are surfaced as counters so `dsd
+//! tournament` (and with it CI) can fail on them.
 //!
 //! To make the exhaustive reference a true floor, heuristics run with
 //! resource additions disabled (`with_addition_limits(0, 0)`): every

@@ -29,28 +29,29 @@ fn env(apps: usize) -> Environment {
 }
 
 /// Recording must not perturb the search: same seed, same best design,
-/// with and without an installed recorder (instrumentation consumes no
-/// randomness and mutates no solver state).
+/// with no recorder, a disabled (no-op) recorder, and an active one
+/// (instrumentation consumes no randomness and mutates no solver state).
 #[test]
 fn instrumented_run_is_bit_identical_to_uninstrumented() {
     let e = env(4);
-    let bare = {
+    let solve = || {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         DesignSolver::new(&e).solve(Budget::iterations(15), &mut rng)
     };
-    let recorder = obs::Recorder::new();
-    let traced = {
-        let _g = recorder.install();
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        DesignSolver::new(&e).solve(Budget::iterations(15), &mut rng)
-    };
-    assert_eq!(
-        bare.best.as_ref().map(|b| b.cost().total().as_f64()),
-        traced.best.as_ref().map(|b| b.cost().total().as_f64()),
-    );
-    assert_eq!(bare.stats.nodes_evaluated, traced.stats.nodes_evaluated);
-    assert_eq!(bare.stats.greedy_builds, traced.stats.greedy_builds);
-    assert_eq!(bare.stats.refit_rounds, traced.stats.refit_rounds);
+    let bare = solve();
+    for recorder in [obs::Recorder::disabled(), obs::Recorder::new()] {
+        let traced = {
+            let _g = recorder.install();
+            solve()
+        };
+        assert_eq!(
+            bare.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
+            traced.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
+        );
+        assert_eq!(bare.stats.nodes_evaluated, traced.stats.nodes_evaluated);
+        assert_eq!(bare.stats.greedy_builds, traced.stats.greedy_builds);
+        assert_eq!(bare.stats.refit_rounds, traced.stats.refit_rounds);
+    }
 }
 
 mod profiling {

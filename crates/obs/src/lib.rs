@@ -18,7 +18,7 @@
 //! * a **self-profiler** ([`profile`]): folds the recorded span stream
 //!   into a deterministic, mergeable call-path tree (per-node self and
 //!   total time, call counts) behind `dsd obs profile` / `dsd obs
-//!   flame` and the bench overhead gates;
+//!   flame` and the per-layer shares of `dsd-benchmark trace`;
 //! * a **flight recorder** ([`progress`]): a bounded live channel of
 //!   typed progress events — incumbent improvements with the gap to the
 //!   certificate bound, phase transitions, per-worker heartbeats — that
@@ -51,7 +51,7 @@
 //! # Overhead
 //!
 //! With no recorder installed every entry point is one thread-local
-//! check (see `bench/src/bin/obs.rs` for the measured bound); the `off`
+//! check (a < 2% target that no check gates, DESIGN.md §6e); the `off`
 //! cargo feature compiles even that away. Recording never consumes
 //! randomness, so instrumented and uninstrumented searches are
 //! bit-identical.

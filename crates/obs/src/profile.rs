@@ -399,7 +399,7 @@ impl ProfileTree {
     }
 
     /// Serializes the profile as a schema-versioned JSON value for
-    /// `--json` exports and the bench report. Times are microseconds;
+    /// `dsd obs profile --json` exports. Times are microseconds;
     /// every numeric leaf is diffable by `flatten_numeric`.
     #[must_use]
     pub fn to_value(&self) -> Value {

@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "multi-minute at fleet scale; the fleet bench runs it in CI at small scale"]
+    #[ignore = "multi-minute at fleet scale; tests/solver_properties.rs solves small fleets in tier-1"]
     fn large_fleets_are_solvable() {
         use dsd_core::{Budget, DesignSolver};
         use rand::SeedableRng;

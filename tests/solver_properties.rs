@@ -212,6 +212,46 @@ fn parallel_shared_cache_beats_or_matches_every_single_seed() {
     assert!(stats.hits > 0, "three seeds on one environment must share completions");
 }
 
+/// The portfolio's invariants on seeded fleets at 1, 2 and 4 workers:
+/// the generator provisions enough for a feasible design, cooperation
+/// never loses to independent restarts at the same per-task budget, and
+/// no design prices below the certified lower bound.
+#[test]
+fn fleet_portfolio_beats_restarts_and_respects_the_bound() {
+    use dsd::scenarios::fleet::{fleet, FleetParams};
+
+    let budget = Budget::iterations(10);
+    let seeds = [2006u64, 2007];
+    for apps in [1usize, 2, 4] {
+        let env = fleet(&FleetParams::new(apps).with_seed(2006));
+        let score = |portfolio: Portfolio| {
+            let outcome = portfolio.solve(budget, &seeds).outcome;
+            outcome.best.map_or(f64::INFINITY, |b| env.score(b.cost()).as_f64())
+        };
+        let baseline =
+            score(Portfolio::new(&env).with_workers(seeds.len()).with_cooperation(false));
+        let bound = env.certified_lower_bound().total.as_f64();
+        for workers in [1usize, 2, 4] {
+            let cost = score(Portfolio::new(&env).with_workers(workers));
+            assert!(
+                cost.is_finite(),
+                "fleet({apps}), {workers} workers: no feasible design — the generator \
+                 under-provisioned sites or routes"
+            );
+            assert!(
+                cost <= baseline + 1e-6,
+                "fleet({apps}), {workers} workers: portfolio ${cost:.2} lost to \
+                 independent restarts ${baseline:.2}"
+            );
+            assert!(
+                cost >= bound - 1e-6,
+                "fleet({apps}), {workers} workers: portfolio ${cost:.2} below the \
+                 certified lower bound ${bound:.2}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cache-key properties: the key must separate exactly the states the
 // completion function distinguishes.
