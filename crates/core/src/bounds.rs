@@ -27,7 +27,7 @@
 //!   provisioned device topped up to its spec maximum. A real design
 //!   shares spare bandwidth with other applications and enumerates a
 //!   superset of failure scenarios, so its per-app penalty can only be
-//!   higher.
+//!   higher. It is priced once per *placement shape* (below).
 //! * **Capacity floor on shared enclosures** — the datasets must live on
 //!   *some* arrays: at least `ceil(Σ capacity / largest array)` enclosures
 //!   (at least two when some application is only protectable by
@@ -35,16 +35,36 @@
 //!   price, plus at least one facility (two when mirror-forced).
 //!
 //! Each term is a valid bound in isolation and they charge disjoint cost
-//! components, so their sum is a valid bound on the total. The
-//! [`Certificate`] pairs the bound with an achieved cost and is surfaced
-//! by `dsd explain`, [`crate::SolveOutcome::certify`], and the tournament
-//! harness; `tests/bound_soundness.rs` re-verifies soundness empirically
-//! against exhaustive enumeration, every heuristic, and delta-evaluated
-//! move sequences.
+//! components, so their sum is a valid bound on the total.
+//!
+//! **Placement shapes.** A maxed singleton's penalty never reads a site
+//! id or name. The singleton provisions only the devices its placement
+//! names; [`dsd_failure::FailureModel::enumerate`] gives it three
+//! scenarios (data object, primary array, primary site) in kind order,
+//! not id order; and the evaluator compares ids only for equality.
+//! Placements that agree on everything else therefore price bit for
+//! bit alike. That is the primary and mirror sites' fields other than
+//! id and name, the primary, mirror and tape slot specs, the route's
+//! network spec, and whether the technique fails over (always to the
+//! mirror site). [`lower_bound`] prices only the first placement of each
+//! shape. The penalty minimum, the chosen technique and the
+//! mirror/backup-forced flags read only values equal within a shape, so
+//! the bound is unchanged, while repeated slot sets and identical sites
+//! collapse: fleet(64) prices 9,408 singletons instead of 1,755,648.
+//! The unit tests price every member of every shape against its
+//! representative.
+//!
+//! The [`Certificate`] pairs the bound with an achieved cost and is
+//! surfaced by `dsd explain`, [`crate::SolveOutcome::certify`], and the
+//! tournament harness; `tests/bound_soundness.rs` re-verifies soundness
+//! empirically against exhaustive enumeration, every heuristic, and
+//! delta-evaluated move sequences.
 
 use serde::Serialize;
 
-use dsd_protection::Technique;
+use dsd_protection::{Technique, TechniqueConfig, TechniqueId};
+use dsd_recovery::Placement;
+use dsd_resources::{ArrayRef, ComputeSpec, DeviceSpec, NetworkSpec, ResourceError, Site};
 use dsd_units::{Dollars, HOURS_PER_YEAR};
 use dsd_workload::{AppId, ApplicationWorkload};
 
@@ -229,6 +249,109 @@ fn max_out(env: &Environment, candidate: &mut Candidate) {
     }
 }
 
+/// Penalty of `app` alone in the environment under one technique,
+/// configuration and placement, with every provisioned device maxed
+/// out; the allocation error when the singleton does not fit.
+fn maxed_singleton_penalty(
+    env: &Environment,
+    app: AppId,
+    technique: TechniqueId,
+    config: TechniqueConfig,
+    placement: Placement,
+) -> Result<Dollars, ResourceError> {
+    let mut singleton = Candidate::empty(env);
+    singleton.try_assign(env, app, technique, config, placement)?;
+    max_out(env, &mut singleton);
+    Ok(singleton.evaluate(env).penalties.total())
+}
+
+/// A site as a maxed singleton sees it: every [`Site`] field except the
+/// id and the name.
+#[derive(PartialEq)]
+struct SiteShape<'a> {
+    facility_cost: Dollars,
+    array_slots: &'a [DeviceSpec],
+    tape_slots: &'a [DeviceSpec],
+    max_compute: u32,
+    compute: ComputeSpec,
+}
+
+impl<'a> SiteShape<'a> {
+    fn of(site: &'a Site) -> Self {
+        // No `..`: a new `Site` field does not compile here until the
+        // shape accounts for it.
+        let Site { id: _, name: _, facility_cost, array_slots, tape_slots, max_compute, compute } =
+            site;
+        SiteShape {
+            facility_cost: *facility_cost,
+            array_slots,
+            tape_slots,
+            max_compute: *max_compute,
+            compute: *compute,
+        }
+    }
+}
+
+/// For each site (by id), the id of the first site with the same
+/// [`SiteShape`].
+fn site_classes(env: &Environment) -> Vec<usize> {
+    let shapes: Vec<SiteShape> = env.topology.sites().iter().map(SiteShape::of).collect();
+    (0..shapes.len())
+        .map(|i| (0..=i).find(|&j| shapes[j] == shapes[i]).expect("a site matches itself"))
+        .collect()
+}
+
+/// Every input a maxed singleton's penalty can read about its placement,
+/// with site ids and names left out (see the module docs). Sites enter
+/// through their [`site_classes`] entry.
+#[derive(PartialEq)]
+struct PlacementShape<'a> {
+    primary: (usize, &'a DeviceSpec),
+    tape: Option<&'a DeviceSpec>,
+    mirror: Option<(usize, &'a DeviceSpec)>,
+    network: Option<&'a NetworkSpec>,
+    /// The failover site is the mirror site, so a flag suffices.
+    failover: bool,
+}
+
+impl<'a> PlacementShape<'a> {
+    fn of(env: &'a Environment, site_classes: &[usize], placement: &Placement) -> Self {
+        let topology = &*env.topology;
+        let end =
+            |r: ArrayRef| (site_classes[r.site.0], &topology.site(r.site).array_slots[r.slot]);
+        PlacementShape {
+            primary: end(placement.primary),
+            tape: placement.tape.map(|t| &topology.site(t.site).tape_slots[t.slot]),
+            mirror: placement.mirror.map(end),
+            network: placement.route.map(|r| &topology.route(r).network),
+            failover: placement.failover_site.is_some(),
+        }
+    }
+}
+
+/// `technique`'s placements grouped by [`PlacementShape`]: groups in
+/// order of their first placement, members in enumeration order. Each
+/// group's first placement is its representative.
+fn placement_shapes(
+    env: &Environment,
+    technique: TechniqueId,
+    site_classes: &[usize],
+) -> Vec<Vec<Placement>> {
+    let mut shapes: Vec<PlacementShape> = Vec::new();
+    let mut groups: Vec<Vec<Placement>> = Vec::new();
+    for placement in PlacementOptions::enumerate(env, technique) {
+        let shape = PlacementShape::of(env, site_classes, &placement);
+        match shapes.iter().position(|s| *s == shape) {
+            Some(i) => groups[i].push(placement),
+            None => {
+                shapes.push(shape);
+                groups.push(vec![placement]);
+            }
+        }
+    }
+    groups
+}
+
 /// Lower bound contribution of a single application: the minimum, over
 /// its eligible techniques, of the fractional outlay floor plus the
 /// maxed-singleton penalty floor.
@@ -296,14 +419,33 @@ impl LowerBound {
 /// Computes the relaxation lower bound for an environment.
 ///
 /// Cost: one maxed-singleton evaluation per (app × eligible technique ×
-/// placement × grid configuration) — a few thousand cheap single-app
-/// evaluations on paper-sized environments.
+/// placement shape × grid configuration); see the module docs for why
+/// one placement per shape is exact. Repeated slot sets and identical
+/// sites add no shapes: four_sites(16) takes 2,312 evaluations and
+/// fleet(64) 9,408, about 16 ms and 0.09 s in a release build on a
+/// 2-vCPU x86-64 host.
 #[must_use]
 pub fn lower_bound(env: &Environment) -> LowerBound {
+    let _span = dsd_obs::span("bounds.lower_bound", "bounds");
+    let site_classes = site_classes(env);
+    let representatives: Vec<Vec<Placement>> = env
+        .catalog
+        .ids()
+        .map(|tid| {
+            placement_shapes(env, tid, &site_classes).into_iter().map(|group| group[0]).collect()
+        })
+        .collect();
+    bound_over(env, &representatives)
+}
+
+/// The bound with each technique's maxed singletons priced over
+/// `placements[technique]` only.
+fn bound_over(env: &Environment, placements: &[Vec<Placement>]) -> LowerBound {
     let rates = Rates::of(env);
     let mut per_app = Vec::with_capacity(env.workloads.len());
     let mut mirror_forced = false;
     let mut backup_forced = false;
+    let mut singletons = 0u64;
 
     for app in env.workloads.iter() {
         let class = app.class_with(&env.thresholds);
@@ -315,15 +457,14 @@ pub fn lower_bound(env: &Environment) -> LowerBound {
 
         for (tid, t) in env.catalog.eligible_for(class) {
             let outlay = technique_outlay_floor(env, app, t, &rates);
+            let configs = t.config_space();
             let mut penalty: Option<Dollars> = None;
-            for placement in PlacementOptions::enumerate(env, tid) {
-                for config in t.config_space() {
-                    let mut singleton = Candidate::empty(env);
-                    if singleton.try_assign(env, app.id, tid, config, placement).is_err() {
+            for &placement in &placements[tid.0] {
+                for &config in &configs {
+                    singletons += 1;
+                    let Ok(p) = maxed_singleton_penalty(env, app.id, tid, config, placement) else {
                         continue;
-                    }
-                    max_out(env, &mut singleton);
-                    let p = singleton.evaluate(env).penalties.total();
+                    };
                     if penalty.is_none_or(|b| p < b) {
                         penalty = Some(p);
                     }
@@ -358,6 +499,7 @@ pub fn lower_bound(env: &Environment) -> LowerBound {
             },
         });
     }
+    dsd_obs::add("bound.singletons", singletons);
 
     let (enclosure_floor, facility_floor) = if env.workloads.is_empty() {
         (Dollars::ZERO, Dollars::ZERO)
@@ -506,8 +648,8 @@ mod tests {
     use crate::exhaustive::{exhaustive_optimal_with, ExhaustiveOptions};
     use dsd_failure::{FailureModel, FailureRates};
     use dsd_protection::TechniqueCatalog;
-    use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
-    use dsd_workload::WorkloadSet;
+    use dsd_resources::{Route, SiteId, Topology};
+    use dsd_workload::{GeneratorConfig, WorkloadGenerator, WorkloadSet};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -608,6 +750,230 @@ mod tests {
         let bad = Certificate::new(&lb, lb.total * 0.5);
         let err = bad.verify().expect_err("below the bound must be refused");
         assert!(err.contains("below the certified lower bound"), "{err}");
+    }
+
+    /// The every-placement loop the shape grouping replaced: the
+    /// reference [`lower_bound`] must reproduce bit for bit.
+    fn reference_lower_bound(env: &Environment) -> LowerBound {
+        let every: Vec<Vec<Placement>> =
+            env.catalog.ids().map(|tid| PlacementOptions::enumerate(env, tid)).collect();
+        bound_over(env, &every)
+    }
+
+    fn paper_site(id: usize, slots: [DeviceSpec; 2], compute: u32) -> Site {
+        let [first, second] = slots;
+        Site::new(id, format!("S{id}"))
+            .with_array_slot(first)
+            .with_array_slot(second)
+            .with_tape_library(DeviceSpec::tape_library_high())
+            .with_compute(compute)
+    }
+
+    fn xp_msa() -> [DeviceSpec; 2] {
+        [DeviceSpec::xp1200(), DeviceSpec::msa1500()]
+    }
+
+    fn env_over(sites: Vec<Site>, workloads: WorkloadSet, rates: FailureRates) -> Environment {
+        Environment::new(
+            workloads,
+            Arc::new(Topology::fully_connected(sites, NetworkSpec::high())),
+            TechniqueCatalog::table2(),
+            FailureModel::new(rates),
+        )
+    }
+
+    /// The heterogeneous three-site environment: two identical sites and
+    /// a third with its array slots in the other order and half the
+    /// compute, reached from the first over a mid-range route, under the
+    /// §4.5 failure rates.
+    fn mixed_sites_env() -> Environment {
+        let mut rng = ChaCha8Rng::seed_from_u64(45);
+        let workloads = WorkloadGenerator::new(GeneratorConfig {
+            scale_min: 0.5,
+            scale_max: 1.5,
+            penalty_scale_min: 0.5,
+            penalty_scale_max: 2.0,
+        })
+        .generate(4, &mut rng);
+        let [xp, msa] = xp_msa();
+        let sites = vec![
+            paper_site(0, xp_msa(), 8),
+            paper_site(1, xp_msa(), 8),
+            paper_site(2, [msa, xp], 4),
+        ];
+        let route = |a, b, network| Route { a: SiteId(a), b: SiteId(b), network };
+        let routes = vec![
+            route(0, 1, NetworkSpec::high()),
+            route(0, 2, NetworkSpec::med()),
+            route(1, 2, NetworkSpec::high()),
+        ];
+        Environment::new(
+            workloads,
+            Arc::new(Topology::new(sites, routes)),
+            TechniqueCatalog::table2(),
+            FailureModel::new(FailureRates::sensitivity_baseline()),
+        )
+    }
+
+    /// Environments whose placements merge into shapes in different
+    /// ways: repeated slot sets, identical sites, a single site, and
+    /// sites that differ.
+    fn shape_envs() -> Vec<(&'static str, Environment)> {
+        // The fleet generator's site: the paper slot set twice over.
+        let fleet_site = |id: usize| {
+            let mut site = Site::new(id, format!("F{id}")).with_compute(8);
+            for _ in 0..2 {
+                site = site
+                    .with_array_slot(DeviceSpec::xp1200())
+                    .with_array_slot(DeviceSpec::msa1500())
+                    .with_tape_library(DeviceSpec::tape_library_high());
+            }
+            site
+        };
+        let paper = FailureRates::case_study();
+        vec![
+            (
+                "two fleet sites",
+                env_over((0..2).map(fleet_site).collect(), WorkloadSet::scaled_paper_mix(4), paper),
+            ),
+            (
+                "four paper sites",
+                env_over(
+                    (0..4).map(|i| paper_site(i, xp_msa(), 8)).collect(),
+                    WorkloadSet::scaled_paper_mix(4),
+                    paper,
+                ),
+            ),
+            ("one site", env_over(vec![fleet_site(0)], WorkloadSet::scaled_paper_mix(4), paper)),
+            ("mixed sites", mixed_sites_env()),
+        ]
+    }
+
+    #[test]
+    fn every_placement_prices_like_its_shape_representative() {
+        let mut failures = 0;
+        for (name, env) in shape_envs() {
+            let classes = site_classes(&env);
+            let mut members = 0;
+            for app in env.workloads.iter() {
+                let class = app.class_with(&env.thresholds);
+                for (tid, t) in env.catalog.eligible_for(class) {
+                    let groups = placement_shapes(&env, tid, &classes);
+                    let placements: usize = groups.iter().map(Vec::len).sum();
+                    assert_eq!(placements, PlacementOptions::enumerate(&env, tid).len(), "{name}");
+                    for group in &groups {
+                        for config in t.config_space() {
+                            let price = |p| {
+                                maxed_singleton_penalty(&env, app.id, tid, config, p)
+                                    .map(|d| d.as_f64().to_bits())
+                                    .map_err(|e| std::mem::discriminant(&e))
+                            };
+                            let representative = price(group[0]);
+                            failures += usize::from(representative.is_err());
+                            for &member in &group[1..] {
+                                members += 1;
+                                assert_eq!(
+                                    price(member),
+                                    representative,
+                                    "{name}: {} {} {config:?} {member:?}",
+                                    app.id,
+                                    t.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(members > 0, "{name}: no shape has a second member");
+        }
+        assert!(failures > 0, "no singleton fails, so failing alike goes unchecked");
+    }
+
+    /// Raw bits of every float in a bound, and each app's technique.
+    fn bits(bound: &LowerBound) -> (Vec<u64>, Vec<String>) {
+        let mut floats = vec![
+            bound.total,
+            bound.outlay_floor,
+            bound.penalty_floor,
+            bound.enclosure_floor,
+            bound.facility_floor,
+        ];
+        let mut techniques = Vec::new();
+        for a in &bound.per_app {
+            floats.extend([a.outlay_floor, a.penalty_floor]);
+            techniques.push(format!("{} {}", a.app, a.technique));
+        }
+        (floats.iter().map(|d| d.as_f64().to_bits()).collect(), techniques)
+    }
+
+    #[test]
+    fn shape_bound_bit_equals_the_every_placement_reference() {
+        for (name, env) in shape_envs() {
+            let bound = lower_bound(&env);
+            assert_eq!(bits(&bound), bits(&reference_lower_bound(&env)), "{name}");
+
+            // Recording changes neither the bound nor the work counted:
+            // one span per call, and fewer singletons than the reference.
+            let recorder = dsd_obs::Recorder::new();
+            let recorded = {
+                let _g = recorder.install();
+                lower_bound(&env)
+            };
+            assert_eq!(bits(&recorded), bits(&bound), "{name}: recorder installed");
+            let spans =
+                recorder.drain_events().iter().filter(|e| e.name == "bounds.lower_bound").count();
+            assert_eq!(spans, 1, "{name}");
+            let shaped = recorder.metrics_snapshot().counter("bound.singletons").unwrap_or(0);
+            let every = dsd_obs::Recorder::new();
+            {
+                let _g = every.install();
+                let _ = reference_lower_bound(&env);
+            }
+            let all = every.metrics_snapshot().counter("bound.singletons").unwrap_or(0);
+            assert!(0 < shaped && shaped < all, "{name}: {shaped} of {all} singletons");
+        }
+    }
+
+    #[test]
+    fn every_site_field_but_id_and_name_separates_shapes() {
+        let env = mixed_sites_env();
+        let classes = site_classes(&env);
+        assert_eq!(classes, [0, 0, 2]);
+        // Two site classes with two slot kinds each: four primary ends.
+        // Each of the five (primary class, mirror class, network)
+        // combinations pairs two slot kinds with two: twenty mirrored
+        // shapes.
+        for tid in env.catalog.ids() {
+            let t = &env.catalog[tid];
+            let expected = if t.has_mirror() { 20 } else { 4 };
+            assert_eq!(placement_shapes(&env, tid, &classes).len(), expected, "{}", t.name);
+        }
+
+        // A copy of a site under another id and name shares its class
+        // until any one other field changes.
+        let base = paper_site(0, xp_msa(), 8);
+        let classes_with = |change: fn(&mut Site)| {
+            let mut other = Site { id: SiteId(1), name: "renamed".into(), ..base.clone() };
+            change(&mut other);
+            let sites = vec![base.clone(), other];
+            site_classes(&env_over(
+                sites,
+                WorkloadSet::scaled_paper_mix(1),
+                FailureRates::case_study(),
+            ))
+        };
+        assert_eq!(classes_with(|_| {}), [0, 0], "id and name are left out");
+        type Change = fn(&mut Site);
+        let changes: [(&str, Change); 5] = [
+            ("facility_cost", |s| s.facility_cost = s.facility_cost * 2.0),
+            ("array_slots", |s| s.array_slots.reverse()),
+            ("tape_slots", |s| s.tape_slots.push(DeviceSpec::tape_library_high())),
+            ("max_compute", |s| s.max_compute /= 2),
+            ("compute", |s| s.compute.cost_per_server = s.compute.cost_per_server * 2.0),
+        ];
+        for (field, change) in changes {
+            assert_eq!(classes_with(change), [0, 1], "{field}");
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@ use dsd::core::{
 use dsd::failure::{FailureModel, FailureRates};
 use dsd::protection::TechniqueCatalog;
 use dsd::resources::{DeviceSpec, NetworkSpec, Site, Topology};
+use dsd::scenarios::environments::{four_sites, peer_sites};
+use dsd::scenarios::fleet::{fleet, CatalogChoice, FleetParams, SiteGraph};
 use dsd::workload::{GeneratorConfig, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -50,6 +52,39 @@ fn random_env(seed: u64, sites: usize, apps: usize) -> Environment {
 /// `cost` may not undercut the bound beyond float tolerance.
 fn respects(bound: f64, cost: f64) -> bool {
     cost >= bound * (1.0 - CERTIFICATE_TOLERANCE)
+}
+
+/// A small seeded fleet: up to sixteen apps on one to four sites, any
+/// site graph, and the Table 2, extended or a prefix catalog. Repeated
+/// slot sets and identical sites make placement shapes merge.
+fn small_fleet() -> impl Strategy<Value = FleetParams> {
+    let graph =
+        prop_oneof![Just(SiteGraph::Ring), Just(SiteGraph::Mesh), Just(SiteGraph::HubSpoke)];
+    let catalog = prop_oneof![
+        Just(CatalogChoice::Table2),
+        Just(CatalogChoice::Extended),
+        (1usize..=9).prop_map(CatalogChoice::Prefix),
+    ];
+    (1usize..=16, 1usize..=4, graph, catalog, 0u64..1000).prop_map(
+        |(apps, sites, graph, catalog, seed)| {
+            FleetParams::new(apps).with_sites(sites, graph).with_catalog(catalog).with_seed(seed)
+        },
+    )
+}
+
+/// The bound prices one placement per shape; at fleet scale it must
+/// still equal, bit for bit, the bound that priced every placement.
+#[test]
+fn fleet_scale_bounds_keep_their_every_placement_bits() {
+    let pinned = [
+        ("peer_sites", peer_sites(), 0x4197_e261_41fd_7107_u64), // $100.178M
+        ("four_sites(16)", four_sites(16), 0x41a7_cb88_4ca8_1bb3), // $199.607M
+        ("fleet(64)", fleet(&FleetParams::new(64)), 0x41c8_893c_a843_3b92), // $823.294M
+    ];
+    for (name, env, bits) in pinned {
+        let total = lower_bound(&env).total.as_f64();
+        assert_eq!(total.to_bits(), bits, "{name}: bound {total}");
+    }
 }
 
 proptest! {
@@ -138,5 +173,18 @@ proptest! {
         // the same certified-above-bound cost.
         let fresh = incumbent.evaluate(&env).total();
         prop_assert!(respects(bound, fresh.as_f64()));
+    }
+
+    /// The bound floors a short design solve on small fleets, or no
+    /// design exists.
+    #[test]
+    fn bound_floors_a_design_on_small_fleets(params in small_fleet()) {
+        let env = fleet(&params);
+        let bound = lower_bound(&env).total.as_f64();
+        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        if let Some(best) = DesignSolver::new(&env).solve(Budget::iterations(2), &mut rng).best {
+            let cost = best.cost().total().as_f64();
+            prop_assert!(respects(bound, cost), "{params:?}: bound {bound} > design {cost}");
+        }
     }
 }
