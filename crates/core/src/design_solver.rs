@@ -26,14 +26,14 @@ use dsd_recovery::ScenarioOutcomeCache;
 use dsd_units::Dollars;
 use dsd_workload::AppId;
 
-use crate::budget::{Budget, BudgetTracker};
+use crate::budget::Budget;
 use crate::candidate::{Candidate, PlacementOptions};
 use crate::config_solver::{ConfigurationSolver, Thoroughness};
 use crate::delta::Move;
 use crate::env::Environment;
 use crate::eval_cache::{CacheStats, EvalCache};
-use crate::flight::{heartbeat, FlightPlan};
 use crate::reconfigure::{weighted_index, Reconfigurator};
+use crate::search::SearchRun;
 
 /// Refit-stage shape parameters (paper §3.1.2: breadth `b`, typically 3;
 /// depth `d`, typically 5).
@@ -111,7 +111,7 @@ impl SolveStats {
     /// Publishes these counters into the currently installed
     /// [`dsd_obs`] metrics registry under the `solver.*` names (durations
     /// as `*_time_ns` counters). A no-op when no recorder is installed,
-    /// so solvers call it unconditionally at the end of every run; the
+    /// so every search publishes its run once, on every exit path; the
     /// registry accumulates across runs exactly like [`SolveStats::merge`].
     pub fn publish(&self) {
         obs::add("solver.greedy_builds", self.greedy_builds);
@@ -267,21 +267,15 @@ impl<'e> DesignSolver<'e> {
     /// solve.
     pub fn solve<R: Rng + ?Sized>(&self, budget: Budget, rng: &mut R) -> SolveOutcome {
         let _solve_span = obs::span("solver.solve", "solver");
-        let mut tracker = budget.start();
-        let mut stats = SolveStats::default();
+        let mut run = SearchRun::start(self.env, budget);
         let completer = self.completer();
         let mut reconf = Reconfigurator::new(self.alpha_util);
         // One scenario-outcome cache for the whole run: scenario-level
         // reuse composes with the completion-level eval cache.
         let mut scache = ScenarioOutcomeCache::new();
-        let mut best: Option<Candidate> = None;
-        // Flight recorder: the certificate bound behind gap percentages
-        // is computed only when a progress channel is listening, and
-        // emission never touches `rng`.
-        let flight = FlightPlan::new(self.env);
         let mut restarts = 0u64;
 
-        while !tracker.expired() {
+        while !run.tracker.expired() {
             if restarts > 0 {
                 progress::restart(restarts);
             }
@@ -289,74 +283,49 @@ impl<'e> DesignSolver<'e> {
             progress::phase_entered("greedy");
             let greedy_span = obs::span("solver.greedy", "solver");
             let greedy_started = Stopwatch::start();
-            let built = self.greedy_stage(rng, &mut tracker, &mut stats, &mut scache);
-            stats.greedy_time += greedy_started.elapsed();
+            let built = self.greedy_stage(rng, &mut run, &mut scache);
+            run.stats.greedy_time += greedy_started.elapsed();
             drop(greedy_span);
             let Some(mut current) = built else {
-                stats.greedy_failures += 1;
+                run.stats.greedy_failures += 1;
                 // Nothing feasible from this restart; if even the greedy
                 // stage keeps failing there is no point burning the rest
                 // of the budget on identical failures when the
                 // environment is outright infeasible.
-                if stats.greedy_builds == 0 && stats.greedy_failures >= 3 {
+                if run.stats.greedy_builds == 0 && run.stats.greedy_failures >= 3 {
                     break;
                 }
                 continue;
             };
-            stats.greedy_builds += 1;
-            completer.complete(&mut current, Thoroughness::Quick, &mut stats, &mut scache);
+            run.stats.greedy_builds += 1;
+            completer.complete(&mut current, Thoroughness::Quick, &mut run.stats, &mut scache);
 
             progress::phase_entered("refit");
             let refit_span = obs::span("solver.refit", "solver");
             let refit_started = Stopwatch::start();
-            let global_best = best.as_ref().map(|b| self.env.score(b.cost()));
-            self.refit_stage(
-                &mut current,
-                &mut reconf,
-                rng,
-                &mut tracker,
-                &mut stats,
-                &mut scache,
-                &flight,
-                global_best,
-            );
-            stats.refit_time += refit_started.elapsed();
+            self.refit_stage(&mut current, &mut reconf, rng, &mut run, &mut scache);
+            run.stats.refit_time += refit_started.elapsed();
             drop(refit_span);
-            if track_best(self.env, &mut best, current) {
-                record_improvement(self.env, best.as_ref(), &stats);
-                if let Some(b) = &best {
-                    flight.incumbent(b.cost().total(), stats.nodes_evaluated);
-                }
+            if run.offer(current) {
+                record_improvement(self.env, run.best(), &run.stats);
             }
-            heartbeat(stats.nodes_evaluated, tracker.elapsed(), stats.cache_hit_rate());
+            run.heartbeat();
         }
 
-        if let Some(b) = best.as_mut() {
+        if run.best().is_some() {
             progress::phase_entered("polish");
             let _polish_span = obs::span("solver.polish", "solver");
-            completer.complete(b, Thoroughness::Full, &mut stats, &mut scache);
+            run.polish(&completer, &mut scache);
         }
-        stats.publish();
-        if let Some(b) = &best {
-            // The final incumbent event carries the polished objective, so
-            // a progress log always ends at the run's reported cost.
-            flight.incumbent(b.cost().total(), stats.nodes_evaluated);
-        }
-        flight.done(best.as_ref().map(|b| b.cost().total()), stats.nodes_evaluated);
-        if let Some(b) = &best {
+        let outcome = run.finish(self.cache);
+        if let Some(b) = &outcome.best {
             obs::gauge("solver.best_cost", self.env.score(b.cost()).as_f64());
         }
         if let Some(cache) = self.cache {
             obs::gauge("cache.hit_ratio", cache.stats().hit_rate());
             cache.publish_occupancy();
         }
-        SolveOutcome {
-            best,
-            stats,
-            elapsed: tracker.elapsed(),
-            cache: self.cache.map(EvalCache::stats),
-            bound: None,
-        }
+        outcome
     }
 
     /// Stage 1: greedy best-fit (§3.1.1). Returns a complete feasible
@@ -364,12 +333,11 @@ impl<'e> DesignSolver<'e> {
     fn greedy_stage<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        tracker: &mut BudgetTracker,
-        stats: &mut SolveStats,
+        run: &mut SearchRun<'_>,
         scache: &mut ScenarioOutcomeCache,
     ) -> Option<Candidate> {
         'restart: for _ in 0..self.max_greedy_restarts {
-            if tracker.expired() {
+            if run.tracker.expired() {
                 return None;
             }
             let mut candidate = Candidate::empty(self.env);
@@ -379,11 +347,11 @@ impl<'e> DesignSolver<'e> {
                     unassigned.iter().map(|&a| self.env.workloads[a].priority().as_f64()).collect();
                 let pick = weighted_index(&weights, rng).expect("non-empty");
                 let app = unassigned.swap_remove(pick);
-                if !self.best_fit_assign(&mut candidate, app, stats, scache) {
-                    tracker.tick();
+                if !self.best_fit_assign(&mut candidate, app, &mut run.stats, scache) {
+                    run.tracker.tick();
                     continue 'restart; // infeasible: restart greedy
                 }
-                tracker.tick();
+                run.tracker.tick();
             }
             return Some(candidate);
         }
@@ -438,19 +406,16 @@ impl<'e> DesignSolver<'e> {
     }
 
     /// Stage 2: refit (§3.1.2). Mutates `current` toward a local optimum.
-    /// `global_best` is the score of the best design from earlier
-    /// restarts, so progress incumbents stay globally monotone.
-    #[allow(clippy::too_many_arguments)]
+    /// The run's best design comes from earlier restarts; progress
+    /// incumbents only report designs that beat it, so they stay globally
+    /// monotone.
     fn refit_stage<R: Rng + ?Sized>(
         &self,
         current: &mut Candidate,
         reconf: &mut Reconfigurator,
         rng: &mut R,
-        tracker: &mut BudgetTracker,
-        stats: &mut SolveStats,
+        run: &mut SearchRun<'_>,
         scache: &mut ScenarioOutcomeCache,
-        flight: &FlightPlan,
-        global_best: Option<Dollars>,
     ) {
         // Refit nodes complete with the same addition limits as the rest
         // of the search, so one cache namespace covers both stages.
@@ -458,14 +423,13 @@ impl<'e> DesignSolver<'e> {
         let explore = |node: &Candidate,
                        reconf: &mut Reconfigurator,
                        rng: &mut R,
-                       tracker: &mut BudgetTracker,
-                       stats: &mut SolveStats,
+                       run: &mut SearchRun<'_>,
                        scache: &mut ScenarioOutcomeCache|
          -> Option<Candidate> {
-            if tracker.expired() {
+            if run.tracker.expired() {
                 return None;
             }
-            tracker.tick();
+            run.tracker.tick();
             // A sibling needs an independent candidate object; the
             // trials *inside* the reconfiguration and completion are
             // clone-free moves.
@@ -473,7 +437,7 @@ impl<'e> DesignSolver<'e> {
             if !reconf.reconfigure_with(self.env, &mut next, scache, rng) {
                 return None;
             }
-            completer.complete(&mut next, Thoroughness::Quick, stats, scache);
+            completer.complete(&mut next, Thoroughness::Quick, &mut run.stats, scache);
             if obs::enabled() {
                 obs::instant_with(
                     "refit.move",
@@ -487,23 +451,23 @@ impl<'e> DesignSolver<'e> {
         let mut best = current.clone();
         best.evaluate_with(self.env, scache);
         for _ in 0..self.refit.max_rounds {
-            if tracker.expired() {
+            if run.tracker.expired() {
                 break;
             }
-            stats.refit_rounds += 1;
+            run.stats.refit_rounds += 1;
             let mut round_best: Option<Candidate> = None;
 
             for _ in 0..self.refit.breadth {
                 // One sibling subtree rooted at a reconfiguration of the
                 // round's starting node.
-                let Some(mut node) = explore(current, reconf, rng, tracker, stats, scache) else {
+                let Some(mut node) = explore(current, reconf, rng, run, scache) else {
                     continue;
                 };
                 track_best(self.env, &mut round_best, node.clone());
                 for _ in 0..self.refit.depth {
                     let mut level_best: Option<Candidate> = None;
                     for _ in 0..self.refit.breadth {
-                        if let Some(n) = explore(&node, reconf, rng, tracker, stats, scache) {
+                        if let Some(n) = explore(&node, reconf, rng, run, scache) {
                             track_best(self.env, &mut level_best, n);
                         }
                     }
@@ -517,12 +481,12 @@ impl<'e> DesignSolver<'e> {
                 Some(rb) if self.env.score(rb.cost()) < self.env.score(best.cost()) => {
                     *current = rb.clone();
                     best = rb;
-                    record_improvement(self.env, Some(&best), stats);
+                    record_improvement(self.env, Some(&best), &run.stats);
                     // Progress incumbents only report *global* improvements
                     // (a later restart's local walk may trail the best seen
                     // so far), keeping the convergence curve monotone.
-                    if global_best.is_none_or(|g| self.env.score(best.cost()) < g) {
-                        flight.incumbent(best.cost().total(), stats.nodes_evaluated);
+                    if run.improves(&best) {
+                        run.incumbent(best.cost().total());
                     }
                 }
                 // No improvement this round: local optimum (Algorithm 1's
@@ -541,7 +505,7 @@ impl<'e> DesignSolver<'e> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeCompleter<'e> {
     config: ConfigurationSolver<'e>,
-    cache: Option<&'e EvalCache>,
+    pub(crate) cache: Option<&'e EvalCache>,
 }
 
 impl<'e> NodeCompleter<'e> {
@@ -589,22 +553,11 @@ impl<'e> NodeCompleter<'e> {
 }
 
 /// Keeps the better-scoring candidate under the environment's objective
-/// (candidates must be evaluated); returns whether `slot` was replaced.
-fn track_best(env: &Environment, slot: &mut Option<Candidate>, candidate: Candidate) -> bool {
+/// (candidates must be evaluated).
+fn track_best(env: &Environment, slot: &mut Option<Candidate>, candidate: Candidate) {
     debug_assert!(candidate.cost_if_evaluated().is_some());
-    match slot {
-        None => {
-            *slot = Some(candidate);
-            true
-        }
-        Some(existing) => {
-            if env.score(candidate.cost()) < env.score(existing.cost()) {
-                *slot = Some(candidate);
-                true
-            } else {
-                false
-            }
-        }
+    if slot.as_ref().is_none_or(|held| env.score(candidate.cost()) < env.score(held.cost())) {
+        *slot = Some(candidate);
     }
 }
 

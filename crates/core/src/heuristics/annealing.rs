@@ -9,10 +9,13 @@
 //! solver as the design solver, so the comparison isolates the search
 //! strategy itself.
 //!
-//! Beyond the standalone baseline ([`SimulatedAnnealing::solve`], random
-//! start), the annealer can start from a caller-provided design
-//! ([`SimulatedAnnealing::solve_from`]) and share the evaluation cache —
-//! this is how portfolio workers refine the shared incumbent.
+//! The annealer owns only its acceptance rule and cooling schedule; the
+//! start, budget, bookkeeping and final polish are the local-search walk
+//! it shares with tabu search. [`SimulatedAnnealing::solve`] starts from a
+//! random feasible design; [`SimulatedAnnealing::solve_from`] takes an
+//! optional caller-provided start and a scenario cache that outlives the
+//! run, and with a shared evaluation cache this is how portfolio workers
+//! refine the shared incumbent.
 
 use dsd_obs as obs;
 use dsd_obs::progress;
@@ -20,15 +23,14 @@ use rand::Rng;
 
 use dsd_recovery::ScenarioOutcomeCache;
 
-use crate::budget::{Budget, BudgetTracker};
+use crate::budget::Budget;
 use crate::candidate::Candidate;
 use crate::config_solver::Thoroughness;
-use crate::design_solver::{NodeCompleter, SolveOutcome, SolveStats};
+use crate::design_solver::{NodeCompleter, SolveOutcome};
 use crate::env::Environment;
 use crate::eval_cache::EvalCache;
-use crate::flight::{heartbeat, FlightPlan};
-use crate::heuristics::random::random_design;
 use crate::reconfigure::Reconfigurator;
+use crate::search::{walk, SearchRun};
 
 /// Annealing schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,159 +110,82 @@ impl<'e> SimulatedAnnealing<'e> {
         self
     }
 
-    fn completer(&self) -> NodeCompleter<'e> {
-        NodeCompleter::new(self.env, self.addition_limits, self.cache)
-    }
-
-    /// Anneals until the budget expires; returns the best design seen.
-    /// Starts from a random feasible design.
+    /// Anneals from a random feasible design until the budget expires;
+    /// returns the best design seen.
     pub fn solve<R: Rng + ?Sized>(&self, budget: Budget, rng: &mut R) -> SolveOutcome {
-        let mut scache = ScenarioOutcomeCache::new();
-        self.solve_with(budget, &mut scache, rng)
+        self.solve_from(None, budget, &mut ScenarioOutcomeCache::new(), rng)
     }
 
-    /// [`SimulatedAnnealing::solve`] with a caller-provided scenario
-    /// cache, so scenario-level reuse persists across successive runs
-    /// (portfolio workers keep one per worker).
-    pub fn solve_with<R: Rng + ?Sized>(
-        &self,
-        budget: Budget,
-        scache: &mut ScenarioOutcomeCache,
-        rng: &mut R,
-    ) -> SolveOutcome {
-        let _solve_span = obs::span("anneal.solve", "heuristic");
-        let mut tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
-        progress::phase_entered("anneal");
-        let completer = self.completer();
-
-        // Start from a random feasible design.
-        let current = loop {
-            if tracker.expired() {
-                flight.done(None, stats.nodes_evaluated);
-                return SolveOutcome {
-                    best: None,
-                    stats,
-                    elapsed: tracker.elapsed(),
-                    cache: self.cache.map(EvalCache::stats),
-                    bound: None,
-                };
-            }
-            tracker.tick();
-            match random_design(self.env, 10, rng) {
-                Some(mut c) => {
-                    completer.complete(&mut c, Thoroughness::Quick, &mut stats, scache);
-                    stats.greedy_builds += 1;
-                    break c;
-                }
-                None => {
-                    stats.greedy_failures += 1;
-                    progress::restart(stats.greedy_failures);
-                }
-            }
-        };
-        self.run(current, tracker, stats, &flight, scache, rng)
-    }
-
-    /// Anneals from a caller-provided starting design (e.g. the
-    /// portfolio's shared incumbent) until the budget expires. The start
-    /// is re-completed under this annealer's addition limits first, so
-    /// its configuration lives in the same search space as the walk.
+    /// Anneals until the budget expires from `start` (e.g. the
+    /// portfolio's shared incumbent), or from a random feasible design
+    /// when `start` is `None`. A start is re-completed under this
+    /// annealer's addition limits first, so its configuration lives in
+    /// the same search space as the walk. `scache` lets scenario-level
+    /// reuse persist across successive runs (portfolio workers keep one
+    /// per worker).
     pub fn solve_from<R: Rng + ?Sized>(
         &self,
-        start: Candidate,
+        start: Option<Candidate>,
         budget: Budget,
         scache: &mut ScenarioOutcomeCache,
         rng: &mut R,
     ) -> SolveOutcome {
-        let _solve_span = obs::span("anneal.solve_from", "heuristic");
-        let tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
+        let span = if start.is_some() { "anneal.solve_from" } else { "anneal.solve" };
+        let _solve_span = obs::span(span, "heuristic");
+        let run = SearchRun::start(self.env, budget);
         progress::phase_entered("anneal");
-        let completer = self.completer();
-        let mut current = start;
-        completer.complete(&mut current, Thoroughness::Quick, &mut stats, scache);
-        self.run(current, tracker, stats, &flight, scache, rng)
-    }
-
-    /// The annealing walk proper, shared by both entry points.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        mut current: Candidate,
-        mut tracker: BudgetTracker,
-        mut stats: SolveStats,
-        flight: &FlightPlan,
-        scache: &mut ScenarioOutcomeCache,
-        rng: &mut R,
-    ) -> SolveOutcome {
-        let completer = self.completer();
+        let completer = NodeCompleter::new(self.env, self.addition_limits, self.cache);
         let mut reconf = Reconfigurator::default();
-        let mut best = current.clone();
-        flight.incumbent(best.cost().total(), stats.nodes_evaluated);
-
-        let mut temperature =
-            self.env.score(current.cost()).as_f64() * self.params.initial_temp_fraction;
+        let mut temperature = None;
         let mut step = 0usize;
-        while !tracker.expired() {
-            tracker.tick();
+        walk(run, start, completer, scache, rng, |current, run, scache, rng| {
+            // The first step still sees the start design, whose score
+            // sets the initial temperature.
+            let temperature = temperature.get_or_insert_with(|| {
+                self.env.score(current.cost()).as_f64() * self.params.initial_temp_fraction
+            });
             let mut proposal = current.clone();
             if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
-                continue;
+                return false;
             }
-            completer.complete(&mut proposal, Thoroughness::Quick, &mut stats, scache);
+            completer.complete(&mut proposal, Thoroughness::Quick, &mut run.stats, scache);
 
             let delta =
                 self.env.score(proposal.cost()).as_f64() - self.env.score(current.cost()).as_f64();
             let accept = delta < 0.0
-                || (temperature > 0.0 && rng.gen_range(0.0..1.0f64) < (-delta / temperature).exp());
+                || (*temperature > 0.0
+                    && rng.gen_range(0.0..1.0f64) < (-delta / *temperature).exp());
             if obs::enabled() {
                 obs::instant_with(
                     "anneal.move",
                     "heuristic",
                     vec![
                         ("delta", delta.into()),
-                        ("temp", temperature.into()),
+                        ("temp", (*temperature).into()),
                         ("accepted", accept.into()),
                     ],
                 );
             }
             obs::add(if accept { "anneal.accepted" } else { "anneal.rejected" }, 1);
             if accept {
-                current = proposal;
-                if self.env.score(current.cost()) < self.env.score(best.cost()) {
-                    best = current.clone();
-                    flight.incumbent(best.cost().total(), stats.nodes_evaluated);
+                *current = proposal;
+                if run.improves(current) {
+                    run.offer(current.clone());
                 }
             }
-            if stats.nodes_evaluated.is_multiple_of(32) {
-                heartbeat(stats.nodes_evaluated, tracker.elapsed(), stats.cache_hit_rate());
-            }
-
             step += 1;
             if step.is_multiple_of(self.params.steps_per_temp) {
-                temperature *= self.params.cooling;
+                *temperature *= self.params.cooling;
             }
-        }
-
-        completer.complete(&mut best, Thoroughness::Full, &mut stats, scache);
-        stats.publish();
-        flight.incumbent(best.cost().total(), stats.nodes_evaluated);
-        flight.done(Some(best.cost().total()), stats.nodes_evaluated);
-        SolveOutcome {
-            best: Some(best),
-            stats,
-            elapsed: tracker.elapsed(),
-            cache: self.cache.map(EvalCache::stats),
-            bound: None,
-        }
+            true
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::random_design;
     use dsd_failure::{FailureModel, FailureRates};
     use dsd_protection::TechniqueCatalog;
     use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
@@ -333,7 +258,7 @@ mod tests {
         let start_cost = start.cost().total().as_f64();
         let mut scache = ScenarioOutcomeCache::new();
         let out = SimulatedAnnealing::new(&e).solve_from(
-            start,
+            Some(start),
             Budget::iterations(30),
             &mut scache,
             &mut rng,

@@ -10,10 +10,10 @@ use dsd_workload::{AppClass, AppId};
 use crate::budget::Budget;
 use crate::candidate::{Candidate, PlacementOptions};
 use crate::config_solver::{ConfigurationSolver, Thoroughness};
-use crate::design_solver::{SolveOutcome, SolveStats};
+use crate::design_solver::SolveOutcome;
 use crate::env::Environment;
-use crate::flight::{heartbeat, FlightPlan};
 use crate::reconfigure::weighted_index;
+use crate::search::SearchRun;
 
 /// Emulates a human architect's gold/silver/bronze design process:
 ///
@@ -45,40 +45,24 @@ impl<'e> HumanHeuristic<'e> {
     /// cheapest.
     pub fn solve<R: Rng + ?Sized>(&self, budget: Budget, rng: &mut R) -> SolveOutcome {
         let _solve_span = obs::span("human.solve", "heuristic");
-        let mut tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
+        let mut run = SearchRun::start(self.env, budget);
         progress::phase_entered("human");
         let config = ConfigurationSolver::new(self.env);
-        let mut best: Option<Candidate> = None;
 
-        while !tracker.expired() {
-            tracker.tick();
+        while !run.tracker.expired() {
+            run.tracker.tick();
             match self.attempt(rng) {
                 Some(mut candidate) => {
-                    stats.greedy_builds += 1;
+                    run.stats.greedy_builds += 1;
                     config.complete(&mut candidate, Thoroughness::Full);
-                    stats.nodes_evaluated += 1;
-                    let better = best.as_ref().is_none_or(|b| {
-                        self.env.score(candidate.cost()) < self.env.score(b.cost())
-                    });
-                    if better {
-                        best = Some(candidate);
-                        if let Some(b) = &best {
-                            flight.incumbent(b.cost().total(), stats.nodes_evaluated);
-                        }
-                    }
+                    run.stats.nodes_evaluated += 1;
+                    run.offer(candidate);
                 }
-                None => {
-                    stats.greedy_failures += 1;
-                    progress::restart(stats.greedy_failures);
-                }
+                None => run.failed(),
             }
-            heartbeat(stats.nodes_evaluated, tracker.elapsed(), 0.0);
+            run.heartbeat();
         }
-        stats.publish();
-        flight.done(best.as_ref().map(|b| b.cost().total()), stats.nodes_evaluated);
-        SolveOutcome { best, stats, elapsed: tracker.elapsed(), cache: None, bound: None }
+        run.finish(None)
     }
 
     /// One complete design attempt (with bounded internal restarts).

@@ -8,9 +8,9 @@ use rand::Rng;
 
 use crate::budget::Budget;
 use crate::candidate::{Candidate, PlacementOptions};
-use crate::design_solver::{SolveOutcome, SolveStats};
+use crate::design_solver::SolveOutcome;
 use crate::env::Environment;
-use crate::flight::{heartbeat, FlightPlan};
+use crate::search::SearchRun;
 
 /// Generates one uniformly random complete design: for each application
 /// (in random order) a uniformly random technique from the whole catalog
@@ -71,42 +71,28 @@ impl<'e> RandomHeuristic<'e> {
     /// Samples designs until the budget expires; returns the cheapest.
     pub fn solve<R: Rng + ?Sized>(&self, budget: Budget, rng: &mut R) -> SolveOutcome {
         let _solve_span = obs::span("random.solve", "heuristic");
-        let mut tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
+        let mut run = SearchRun::start(self.env, budget);
         progress::phase_entered("random");
-        let mut best: Option<Candidate> = None;
-        while !tracker.expired() {
-            tracker.tick();
+        while !run.tracker.expired() {
+            run.tracker.tick();
             match random_design(self.env, self.tries_per_app, rng) {
                 Some(mut candidate) => {
                     candidate.evaluate(self.env);
-                    stats.greedy_builds += 1;
-                    stats.nodes_evaluated += 1;
+                    run.stats.greedy_builds += 1;
+                    run.stats.nodes_evaluated += 1;
                     obs::add("random.feasible_samples", 1);
-                    let better = best.as_ref().is_none_or(|b| {
-                        self.env.score(candidate.cost()) < self.env.score(b.cost())
-                    });
-                    if better {
-                        best = Some(candidate);
-                        if let Some(b) = &best {
-                            flight.incumbent(b.cost().total(), stats.nodes_evaluated);
-                        }
-                    }
+                    run.offer(candidate);
                 }
                 None => {
-                    stats.greedy_failures += 1;
                     obs::add("random.infeasible_samples", 1);
-                    progress::restart(stats.greedy_failures);
+                    run.failed();
                 }
             }
-            if stats.nodes_evaluated.is_multiple_of(32) {
-                heartbeat(stats.nodes_evaluated, tracker.elapsed(), 0.0);
+            if run.stats.nodes_evaluated.is_multiple_of(32) {
+                run.heartbeat();
             }
         }
-        stats.publish();
-        flight.done(best.as_ref().map(|b| b.cost().total()), stats.nodes_evaluated);
-        SolveOutcome { best, stats, elapsed: tracker.elapsed(), cache: None, bound: None }
+        run.finish(None)
     }
 }
 

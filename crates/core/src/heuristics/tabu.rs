@@ -6,10 +6,13 @@
 //! application for a fixed tenure, forcing the walk to diversify instead
 //! of oscillating between two designs.
 //!
-//! Like the annealer, tabu search can start from a caller-provided
-//! design ([`TabuSearch::solve_from`]) and share the evaluation cache —
-//! the portfolio's diversification workers run it over the shared
-//! incumbent.
+//! Tabu search owns only its move pool and tabu list; the start,
+//! budget, bookkeeping and final polish are the local-search walk it
+//! shares with the annealer. [`TabuSearch::solve`] starts from a random
+//! feasible design; [`TabuSearch::solve_from`] takes an optional
+//! caller-provided start and a scenario cache that outlives the run, and
+//! with a shared evaluation cache the portfolio's diversification
+//! workers run it over the shared incumbent.
 
 use std::collections::VecDeque;
 
@@ -20,15 +23,14 @@ use rand::Rng;
 use dsd_recovery::ScenarioOutcomeCache;
 use dsd_workload::AppId;
 
-use crate::budget::{Budget, BudgetTracker};
+use crate::budget::Budget;
 use crate::candidate::Candidate;
 use crate::config_solver::Thoroughness;
-use crate::design_solver::{NodeCompleter, SolveOutcome, SolveStats};
+use crate::design_solver::{NodeCompleter, SolveOutcome};
 use crate::env::Environment;
 use crate::eval_cache::EvalCache;
-use crate::flight::{heartbeat, FlightPlan};
-use crate::heuristics::random::random_design;
 use crate::reconfigure::Reconfigurator;
+use crate::search::{walk, SearchRun};
 
 /// Tabu search over reconfiguration moves.
 #[derive(Debug, Clone, Copy)]
@@ -83,99 +85,33 @@ impl<'e> TabuSearch<'e> {
         self
     }
 
-    fn completer(&self) -> NodeCompleter<'e> {
-        NodeCompleter::new(self.env, self.addition_limits, self.cache)
-    }
-
-    /// Searches until the budget expires; returns the best design seen.
-    /// Starts from a random feasible design.
+    /// Searches from a random feasible design until the budget expires;
+    /// returns the best design seen.
     pub fn solve<R: Rng + ?Sized>(&self, budget: Budget, rng: &mut R) -> SolveOutcome {
-        let mut scache = ScenarioOutcomeCache::new();
-        self.solve_with(budget, &mut scache, rng)
+        self.solve_from(None, budget, &mut ScenarioOutcomeCache::new(), rng)
     }
 
-    /// [`TabuSearch::solve`] with a caller-provided scenario cache, so
-    /// scenario-level reuse persists across successive runs (portfolio
-    /// workers keep one per worker).
-    pub fn solve_with<R: Rng + ?Sized>(
-        &self,
-        budget: Budget,
-        scache: &mut ScenarioOutcomeCache,
-        rng: &mut R,
-    ) -> SolveOutcome {
-        let _solve_span = obs::span("tabu.solve", "heuristic");
-        let mut tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
-        progress::phase_entered("tabu");
-        let completer = self.completer();
-
-        let current = loop {
-            if tracker.expired() {
-                flight.done(None, stats.nodes_evaluated);
-                return SolveOutcome {
-                    best: None,
-                    stats,
-                    elapsed: tracker.elapsed(),
-                    cache: self.cache.map(EvalCache::stats),
-                    bound: None,
-                };
-            }
-            tracker.tick();
-            match random_design(self.env, 10, rng) {
-                Some(mut c) => {
-                    completer.complete(&mut c, Thoroughness::Quick, &mut stats, scache);
-                    stats.greedy_builds += 1;
-                    break c;
-                }
-                None => {
-                    stats.greedy_failures += 1;
-                    progress::restart(stats.greedy_failures);
-                }
-            }
-        };
-        self.run(current, tracker, stats, &flight, scache, rng)
-    }
-
-    /// Searches from a caller-provided starting design (e.g. the
-    /// portfolio's shared incumbent) until the budget expires. The start
-    /// is re-completed under this search's addition limits first.
+    /// Searches until the budget expires from `start` (e.g. the
+    /// portfolio's shared incumbent), or from a random feasible design
+    /// when `start` is `None`. A start is re-completed under this
+    /// search's addition limits first. `scache` lets scenario-level reuse
+    /// persist across successive runs (portfolio workers keep one per
+    /// worker).
     pub fn solve_from<R: Rng + ?Sized>(
         &self,
-        start: Candidate,
+        start: Option<Candidate>,
         budget: Budget,
         scache: &mut ScenarioOutcomeCache,
         rng: &mut R,
     ) -> SolveOutcome {
-        let _solve_span = obs::span("tabu.solve_from", "heuristic");
-        let tracker = budget.start();
-        let mut stats = SolveStats::default();
-        let flight = FlightPlan::new(self.env);
+        let span = if start.is_some() { "tabu.solve_from" } else { "tabu.solve" };
+        let _solve_span = obs::span(span, "heuristic");
+        let run = SearchRun::start(self.env, budget);
         progress::phase_entered("tabu");
-        let completer = self.completer();
-        let mut current = start;
-        completer.complete(&mut current, Thoroughness::Quick, &mut stats, scache);
-        self.run(current, tracker, stats, &flight, scache, rng)
-    }
-
-    /// The tabu walk proper, shared by both entry points.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        mut current: Candidate,
-        mut tracker: BudgetTracker,
-        mut stats: SolveStats,
-        flight: &FlightPlan,
-        scache: &mut ScenarioOutcomeCache,
-        rng: &mut R,
-    ) -> SolveOutcome {
-        let completer = self.completer();
+        let completer = NodeCompleter::new(self.env, self.addition_limits, self.cache);
         let mut reconf = Reconfigurator::default();
-        let mut best = current.clone();
-        flight.incumbent(best.cost().total(), stats.nodes_evaluated);
         let mut tabu: VecDeque<AppId> = VecDeque::with_capacity(self.tenure);
-
-        while !tracker.expired() {
-            tracker.tick();
+        walk(run, start, completer, scache, rng, |current, run, scache, rng| {
             // Evaluate a small pool of moves; keep the best whose touched
             // application is not tabu (aspiration: a new global best is
             // always allowed).
@@ -185,11 +121,10 @@ impl<'e> TabuSearch<'e> {
                 if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
                     continue;
                 }
-                completer.complete(&mut proposal, Thoroughness::Quick, &mut stats, scache);
-                let touched = touched_app(&current, &proposal);
+                completer.complete(&mut proposal, Thoroughness::Quick, &mut run.stats, scache);
+                let touched = touched_app(current, &proposal);
                 let is_tabu = touched.is_some_and(|a| tabu.contains(&a));
-                let aspirates = self.env.score(proposal.cost()) < self.env.score(best.cost());
-                if is_tabu && !aspirates {
+                if is_tabu && !run.improves(&proposal) {
                     obs::add("tabu.moves_forbidden", 1);
                     continue;
                 }
@@ -202,7 +137,7 @@ impl<'e> TabuSearch<'e> {
                     }
                 }
             }
-            let Some((next, touched)) = chosen else { continue };
+            let Some((next, touched)) = chosen else { return false };
             obs::add("tabu.moves_taken", 1);
             if obs::enabled() {
                 obs::instant_with(
@@ -218,27 +153,12 @@ impl<'e> TabuSearch<'e> {
             while tabu.len() > self.tenure {
                 tabu.pop_front();
             }
-            current = next;
-            if self.env.score(current.cost()) < self.env.score(best.cost()) {
-                best = current.clone();
-                flight.incumbent(best.cost().total(), stats.nodes_evaluated);
+            *current = next;
+            if run.improves(current) {
+                run.offer(current.clone());
             }
-            if stats.nodes_evaluated.is_multiple_of(32) {
-                heartbeat(stats.nodes_evaluated, tracker.elapsed(), stats.cache_hit_rate());
-            }
-        }
-
-        completer.complete(&mut best, Thoroughness::Full, &mut stats, scache);
-        stats.publish();
-        flight.incumbent(best.cost().total(), stats.nodes_evaluated);
-        flight.done(Some(best.cost().total()), stats.nodes_evaluated);
-        SolveOutcome {
-            best: Some(best),
-            stats,
-            elapsed: tracker.elapsed(),
-            cache: self.cache.map(EvalCache::stats),
-            bound: None,
-        }
+            true
+        })
     }
 }
 
@@ -257,6 +177,7 @@ fn touched_app(before: &Candidate, after: &Candidate) -> Option<AppId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::random_design;
     use dsd_failure::{FailureModel, FailureRates};
     use dsd_protection::TechniqueCatalog;
     use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
@@ -326,8 +247,12 @@ mod tests {
         start.evaluate(&e);
         let start_cost = start.cost().total().as_f64();
         let mut scache = ScenarioOutcomeCache::new();
-        let out =
-            TabuSearch::new(&e).solve_from(start, Budget::iterations(30), &mut scache, &mut rng);
+        let out = TabuSearch::new(&e).solve_from(
+            Some(start),
+            Budget::iterations(30),
+            &mut scache,
+            &mut rng,
+        );
         let best = out.best.expect("start was feasible").cost().total().as_f64();
         assert!(best <= start_cost + 1e-6, "refined {best} vs start {start_cost}");
     }

@@ -51,11 +51,11 @@ mod env;
 pub mod eval_cache;
 mod exhaustive;
 mod explain;
-mod flight;
 pub mod heuristics;
 mod objective;
 mod portfolio;
 mod reconfigure;
+mod search;
 mod tournament;
 
 pub use bounds::{lower_bound, AppBound, Certificate, LowerBound};

@@ -415,26 +415,20 @@ impl<'e> Portfolio<'e> {
             Task::Greedy { .. } => {
                 DesignSolver::new(self.env).with_cache(cache).solve(budget, &mut rng)
             }
-            Task::Anneal { .. } => {
-                let annealer = SimulatedAnnealing::new(self.env).with_cache(cache);
-                match incumbent.adopt_if_better(u64::MAX) {
-                    Some((cost, start)) => {
-                        *my_adoptions += 1;
-                        progress::incumbent_adopted(cost, *my_adoptions);
-                        annealer.solve_from(start, budget, scache, &mut rng)
-                    }
-                    None => annealer.solve_with(budget, scache, &mut rng),
-                }
-            }
-            Task::Tabu { .. } => {
-                let tabu = TabuSearch::new(self.env).with_cache(cache);
-                match incumbent.adopt_if_better(u64::MAX) {
-                    Some((cost, start)) => {
-                        *my_adoptions += 1;
-                        progress::incumbent_adopted(cost, *my_adoptions);
-                        tabu.solve_from(start, budget, scache, &mut rng)
-                    }
-                    None => tabu.solve_with(budget, scache, &mut rng),
+            Task::Anneal { .. } | Task::Tabu { .. } => {
+                let start = incumbent.adopt_if_better(u64::MAX).map(|(cost, start)| {
+                    *my_adoptions += 1;
+                    progress::incumbent_adopted(cost, *my_adoptions);
+                    start
+                });
+                if let Task::Anneal { .. } = task {
+                    SimulatedAnnealing::new(self.env)
+                        .with_cache(cache)
+                        .solve_from(start, budget, scache, &mut rng)
+                } else {
+                    TabuSearch::new(self.env)
+                        .with_cache(cache)
+                        .solve_from(start, budget, scache, &mut rng)
                 }
             }
         }

@@ -28,6 +28,18 @@ fn env(apps: usize) -> Environment {
     )
 }
 
+/// One small site without tape: central banking's gold class needs a
+/// mirror to another site, so no strategy finds a feasible design.
+fn one_site() -> Environment {
+    let site = vec![Site::new(0, "solo").with_array_slot(DeviceSpec::msa1500()).with_compute(1)];
+    Environment::new(
+        WorkloadSet::scaled_paper_mix(1),
+        Arc::new(Topology::fully_connected(site, NetworkSpec::med())),
+        TechniqueCatalog::table2(),
+        FailureModel::new(FailureRates::case_study()),
+    )
+}
+
 /// Recording must not perturb the search: same seed, same best design,
 /// with no recorder, a disabled (no-op) recorder, and an active one
 /// (instrumentation consumes no randomness and mutates no solver state).
@@ -313,6 +325,53 @@ mod recording {
         let view = SolveStats::from_snapshot(&snap);
         assert_eq!(view.nodes_evaluated, run.outcome.stats.nodes_evaluated);
         assert_eq!(view.greedy_builds, run.outcome.stats.greedy_builds);
+    }
+
+    /// Every strategy publishes its run's counters on every exit path,
+    /// including a budget spent without a feasible design: the registry
+    /// view equals the returned stats.
+    #[test]
+    fn every_strategy_publishes_its_counters_without_a_design() {
+        use dsd_core::heuristics::{
+            HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch,
+        };
+        use dsd_core::SolveOutcome;
+
+        let e = one_site();
+        let budget = Budget::iterations(10);
+        type Solve<'e> = Box<dyn Fn(&mut ChaCha8Rng) -> SolveOutcome + 'e>;
+        let runners: Vec<(&str, Solve<'_>)> = vec![
+            ("design solver", Box::new(|rng| DesignSolver::new(&e).solve(budget, rng))),
+            ("annealing", Box::new(|rng| SimulatedAnnealing::new(&e).solve(budget, rng))),
+            ("tabu", Box::new(|rng| TabuSearch::new(&e).solve(budget, rng))),
+            ("random", Box::new(|rng| RandomHeuristic::new(&e).solve(budget, rng))),
+            ("human", Box::new(|rng| HumanHeuristic::new(&e).solve(Budget::iterations(3), rng))),
+            (
+                "portfolio",
+                Box::new(|_| Portfolio::new(&e).with_workers(1).solve(budget, &[1, 2]).outcome),
+            ),
+        ];
+        let counts = |s: &SolveStats| {
+            (
+                s.greedy_builds,
+                s.greedy_failures,
+                s.refit_rounds,
+                s.nodes_evaluated,
+                s.cache_hits,
+                s.cache_misses,
+            )
+        };
+        for (name, solve) in runners {
+            let recorder = obs::Recorder::new();
+            let out = {
+                let _g = recorder.install();
+                solve(&mut ChaCha8Rng::seed_from_u64(1))
+            };
+            assert!(out.best.is_none(), "{name}: the one-site environment is infeasible");
+            assert!(out.stats.greedy_failures > 0, "{name}: failed starts counted");
+            let view = SolveStats::from_snapshot(&recorder.metrics_snapshot());
+            assert_eq!(counts(&view), counts(&out.stats), "{name}: published vs returned");
+        }
     }
 
     /// The baseline heuristics publish their runs under the same series.

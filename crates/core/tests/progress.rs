@@ -4,8 +4,9 @@
 //! computes.
 
 use dsd_core::{
-    heuristics::{HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch},
-    lower_bound, Budget, Certificate, DesignSolver, Environment, Portfolio,
+    heuristics::{random_design, HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch},
+    lower_bound, Budget, Candidate, Certificate, DesignSolver, Environment, Portfolio,
+    ScenarioOutcomeCache,
 };
 use dsd_failure::{FailureModel, FailureRates};
 use dsd_obs::progress::{self, ProgressChannel, ProgressKind};
@@ -200,11 +201,17 @@ fn disabled_channel_emits_nothing() {
 
 /// All four heuristics emit into the channel with the same contract:
 /// a phase marker, monotone incumbents ending at the returned objective,
-/// and a final done event — without perturbing their results.
+/// and a final done event — without perturbing their results. Annealing
+/// and tabu keep it from an adopted start too (the portfolio's path).
 #[test]
 fn heuristics_emit_monotone_incumbents() {
     let e = env(4);
     let budget = Budget::iterations(30);
+    let start = |rng: &mut ChaCha8Rng| -> Option<Candidate> {
+        let mut start = random_design(&e, 10, rng).expect("feasible start");
+        start.evaluate(&e);
+        Some(start)
+    };
     type Runner<'e> = Box<dyn Fn(&mut ChaCha8Rng) -> Option<Dollars> + 'e>;
     let runners: Vec<(&str, Runner<'_>)> = vec![
         (
@@ -217,6 +224,26 @@ fn heuristics_emit_monotone_incumbents() {
             "tabu",
             Box::new(|rng: &mut ChaCha8Rng| {
                 TabuSearch::new(&e).solve(budget, rng).best.map(|b| b.cost().total())
+            }),
+        ),
+        (
+            "anneal",
+            Box::new(|rng: &mut ChaCha8Rng| {
+                let mut scache = ScenarioOutcomeCache::new();
+                SimulatedAnnealing::new(&e)
+                    .solve_from(start(rng), budget, &mut scache, rng)
+                    .best
+                    .map(|b| b.cost().total())
+            }),
+        ),
+        (
+            "tabu",
+            Box::new(|rng: &mut ChaCha8Rng| {
+                let mut scache = ScenarioOutcomeCache::new();
+                TabuSearch::new(&e)
+                    .solve_from(start(rng), budget, &mut scache, rng)
+                    .best
+                    .map(|b| b.cost().total())
             }),
         ),
         (

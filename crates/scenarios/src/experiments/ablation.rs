@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use dsd_core::heuristics::{SimulatedAnnealing, TabuSearch};
-use dsd_core::{Budget, DesignSolver, Environment, RefitParams};
+use dsd_core::{Budget, DesignSolver, Environment, RefitParams, SolveOutcome};
 use dsd_protection::TechniqueCatalog;
 use dsd_recovery::SchedulingPolicy;
 
@@ -104,18 +104,18 @@ impl fmt::Display for Ablation {
     }
 }
 
+/// One row: `solve` runs once per seed on `env`, from a fresh RNG.
 fn run_variant(
     label: &str,
     env: &Environment,
-    budget: Budget,
     seeds: &[u64],
-    build: impl Fn(&Environment) -> DesignSolver<'_>,
+    solve: impl Fn(&Environment, &mut ChaCha8Rng) -> SolveOutcome,
 ) -> AblationRow {
     let mut costs = Vec::new();
     let mut infeasible = 0;
     for &seed in seeds {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match build(env).solve(budget, &mut rng).best {
+        match solve(env, &mut rng).best {
             Some(best) => costs.push(best.cost().total().as_f64()),
             None => infeasible += 1,
         }
@@ -136,86 +136,59 @@ pub fn run(budget: Budget, seeds: &[u64]) -> Ablation {
 #[must_use]
 pub fn run_in(base_env: &Environment, budget: Budget, seeds: &[u64]) -> Ablation {
     let mut rows = Vec::new();
+    let design_tool =
+        |e: &Environment, rng: &mut ChaCha8Rng| DesignSolver::new(e).solve(budget, rng);
 
-    rows.push(run_variant("full design tool (baseline)", base_env, budget, seeds, |e| {
+    rows.push(run_variant("full design tool (baseline)", base_env, seeds, design_tool));
+    rows.push(run_variant("greedy only (refit disabled)", base_env, seeds, |e, rng| {
         DesignSolver::new(e)
+            .with_refit(RefitParams { breadth: 3, depth: 5, max_rounds: 0 })
+            .solve(budget, rng)
     }));
-    rows.push(run_variant("greedy only (refit disabled)", base_env, budget, seeds, |e| {
-        DesignSolver::new(e).with_refit(RefitParams { breadth: 3, depth: 5, max_rounds: 0 })
+    rows.push(run_variant("refit b=1, d=1", base_env, seeds, |e, rng| {
+        DesignSolver::new(e)
+            .with_refit(RefitParams { breadth: 1, depth: 1, max_rounds: 25 })
+            .solve(budget, rng)
     }));
-    rows.push(run_variant("refit b=1, d=1", base_env, budget, seeds, |e| {
-        DesignSolver::new(e).with_refit(RefitParams { breadth: 1, depth: 1, max_rounds: 25 })
+    rows.push(run_variant("refit b=5, d=3", base_env, seeds, |e, rng| {
+        DesignSolver::new(e)
+            .with_refit(RefitParams { breadth: 5, depth: 3, max_rounds: 25 })
+            .solve(budget, rng)
     }));
-    rows.push(run_variant("refit b=5, d=3", base_env, budget, seeds, |e| {
-        DesignSolver::new(e).with_refit(RefitParams { breadth: 5, depth: 3, max_rounds: 25 })
+    rows.push(run_variant("no resource-addition loop", base_env, seeds, |e, rng| {
+        DesignSolver::new(e).with_addition_limits(0, 0).solve(budget, rng)
     }));
-    rows.push(run_variant("no resource-addition loop", base_env, budget, seeds, |e| {
-        DesignSolver::new(e).with_addition_limits(0, 0)
-    }));
-    rows.push(run_variant("alpha_util = 0 (history-only bias)", base_env, budget, seeds, |e| {
-        DesignSolver::new(e).with_alpha_util(0.0)
+    rows.push(run_variant("alpha_util = 0 (history-only bias)", base_env, seeds, |e, rng| {
+        DesignSolver::new(e).with_alpha_util(0.0).solve(budget, rng)
     }));
 
     let mut fair = base_env.clone();
     fair.recovery.scheduling = SchedulingPolicy::FairShare;
-    rows.push(run_variant("fair-share recovery scheduling", &fair, budget, seeds, |e| {
-        DesignSolver::new(e)
-    }));
+    rows.push(run_variant("fair-share recovery scheduling", &fair, seeds, design_tool));
     let mut shortest = base_env.clone();
     shortest.recovery.scheduling = SchedulingPolicy::ShortestFirst;
-    rows.push(run_variant("shortest-first recovery scheduling", &shortest, budget, seeds, |e| {
-        DesignSolver::new(e)
-    }));
+    rows.push(run_variant("shortest-first recovery scheduling", &shortest, seeds, design_tool));
 
-    // Related-work baseline: simulated annealing over the same moves.
-    {
-        let mut costs = Vec::new();
-        let mut infeasible = 0;
-        for &seed in seeds {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            match SimulatedAnnealing::new(base_env).solve(budget, &mut rng).best {
-                Some(best) => costs.push(best.cost().total().as_f64()),
-                None => infeasible += 1,
-            }
-        }
-        rows.push(AblationRow {
-            variant: "simulated annealing (related work)".into(),
-            costs,
-            infeasible,
-        });
-    }
-    {
-        let mut costs = Vec::new();
-        let mut infeasible = 0;
-        for &seed in seeds {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            match TabuSearch::new(base_env).solve(budget, &mut rng).best {
-                Some(best) => costs.push(best.cost().total().as_f64()),
-                None => infeasible += 1,
-            }
-        }
-        rows.push(AblationRow { variant: "tabu search (related work)".into(), costs, infeasible });
-    }
+    // Related-work baselines over the same moves.
+    rows.push(run_variant("simulated annealing (related work)", base_env, seeds, |e, rng| {
+        SimulatedAnnealing::new(e).solve(budget, rng)
+    }));
+    rows.push(run_variant("tabu search (related work)", base_env, seeds, |e, rng| {
+        TabuSearch::new(e).solve(budget, rng)
+    }));
 
     let mut shared_spares = base_env.clone();
     shared_spares.sizing.failover_spare_ratio = 0.5;
     rows.push(run_variant(
         "shared failover spares (ratio 0.5)",
         &shared_spares,
-        budget,
         seeds,
-        |e| DesignSolver::new(e),
+        design_tool,
     ));
 
     let mut extended = base_env.clone();
     extended.catalog = TechniqueCatalog::extended();
-    rows.push(run_variant(
-        "extended catalog (incremental backups)",
-        &extended,
-        budget,
-        seeds,
-        |e| DesignSolver::new(e),
-    ));
+    rows.push(run_variant("extended catalog (incremental backups)", &extended, seeds, design_tool));
 
     Ablation { rows }
 }

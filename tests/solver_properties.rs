@@ -252,6 +252,68 @@ fn fleet_portfolio_beats_restarts_and_respects_the_bound() {
     }
 }
 
+/// Every strategy's result on two reference environments, pinned bit for
+/// bit as `(best total cost bits, nodes evaluated)`: a change to the
+/// shared search bookkeeping must leave every RNG draw where it was. RNGs
+/// are seeded 2006 at budget 40; human runs 4 attempts, and the portfolio
+/// is one cooperative worker at budget 12 over seeds 2006 and 2007.
+#[test]
+fn every_strategy_keeps_its_pinned_result() {
+    use dsd::core::heuristics::{HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch};
+    use dsd::core::SolveOutcome;
+    use dsd::scenarios::environments::{four_sites, peer_sites};
+
+    type Solve = fn(&Environment, &mut ChaCha8Rng) -> SolveOutcome;
+    /// A strategy with its pins on peer_sites and four_sites(4).
+    type Pinned = (&'static str, Solve, [(u64, u64); 2]);
+    let pinned: [Pinned; 6] = [
+        (
+            "design solver",
+            |e, rng| DesignSolver::new(e).solve(Budget::iterations(40), rng),
+            [(0x4199_d970_66bf_1b6b, 430), (0x4188_dc68_7ecc_0fd5, 1292)],
+        ),
+        (
+            "annealing",
+            |e, rng| SimulatedAnnealing::new(e).solve(Budget::iterations(40), rng),
+            [(0x419b_bbe3_d3a0_8ee3, 40), (0x418a_703d_a1cd_8f1a, 41)],
+        ),
+        (
+            "tabu",
+            |e, rng| TabuSearch::new(e).solve(Budget::iterations(40), rng),
+            [(0x419b_7a8c_43c2_368f, 157), (0x4188_d832_799c_9d05, 157)],
+        ),
+        (
+            "random",
+            |e, rng| RandomHeuristic::new(e).solve(Budget::iterations(40), rng),
+            [(0x41e4_d47d_e60d_190f, 40), (0x418c_f69f_f9a0_ef9c, 40)],
+        ),
+        (
+            "human",
+            |e, rng| HumanHeuristic::new(e).solve(Budget::iterations(4), rng),
+            [(0x41ea_82f4_9328_32e0, 4), (0x41e1_67e1_1f42_7e56, 4)],
+        ),
+        (
+            "portfolio",
+            |e, _| {
+                Portfolio::new(e)
+                    .with_workers(1)
+                    .solve(Budget::iterations(12), &[2006, 2007])
+                    .outcome
+            },
+            [(0x4199_8869_c4aa_c2e4, 863), (0x4188_6ee7_83c1_3f22, 2577)],
+        ),
+    ];
+    let envs = [("peer_sites", peer_sites()), ("four_sites(4)", four_sites(4))];
+    for (strategy, solve, pins) in pinned {
+        for ((name, env), pin) in envs.iter().zip(pins) {
+            let outcome = solve(env, &mut ChaCha8Rng::seed_from_u64(2006));
+            let best = outcome.best.expect("reference environments are solvable");
+            let got = (best.cost().total().as_f64().to_bits(), outcome.stats.nodes_evaluated);
+            assert_eq!(got, pin, "{strategy} on {name}: {:#x}", got.0);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cache-key properties: the key must separate exactly the states the
 // completion function distinguishes.
