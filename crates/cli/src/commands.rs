@@ -4,6 +4,7 @@
 
 use std::error::Error;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,7 +17,9 @@ use dsd_core::{
     TournamentConfig, DEFAULT_CACHE_CAPACITY,
 };
 use dsd_recovery::Evaluator;
-use dsd_scenarios::experiments::{ablation, figure2, figure3, figure4, sensitivity, table4};
+use dsd_scenarios::experiments::{
+    ablation, csv, figure2, figure3, figure4, scheduling, sensitivity, table4,
+};
 
 use crate::saved::SavedDesign;
 use crate::spec::EnvironmentSpec;
@@ -24,7 +27,8 @@ use crate::spec::EnvironmentSpec;
 /// Options shared by solver-running commands.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
-    /// Solver iteration budget.
+    /// Solver iteration budget. `dsd experiment figure3-wallclock` reads
+    /// it as seconds of wall time per heuristic instead.
     pub budget: u64,
     /// RNG seed.
     pub seed: u64,
@@ -252,32 +256,60 @@ pub fn cmd_evaluate(spec_text: &str, design_text: &str) -> Result<String, Box<dy
 
 /// `dsd experiment <name>` — run one of the paper's experiments.
 ///
+/// Returns the rendered table and its [`csv`] rendering. Every name but
+/// `scheduling` has a CSV form; a `table4` run that finds no feasible
+/// design has none. `figure3-wallclock` gives each heuristic
+/// `options.budget` seconds of wall time; every other name counts solver
+/// iterations.
+///
 /// # Errors
 ///
-/// Unknown experiment names.
-pub fn cmd_experiment(name: &str, options: RunOptions) -> Result<String, Box<dyn Error>> {
+/// Unknown experiment names, and a `figure2` budget whose sample count
+/// (10 × budget) overflows.
+pub fn cmd_experiment(
+    name: &str,
+    options: RunOptions,
+) -> Result<(String, Option<String>), Box<dyn Error>> {
     let budget = Budget::iterations(options.budget);
     let seed = options.seed;
+    let compare = |budget| {
+        let fig = figure3::run(budget, 1000, seed);
+        (fig.to_string(), Some(csv::figure3_csv(&fig)))
+    };
+    let sweep = |kind: sensitivity::SweepKind| {
+        let fig = sensitivity::run(kind, &kind.paper_rates(), budget, seed);
+        (fig.to_string(), Some(csv::sensitivity_csv(&fig)))
+    };
     let out = match name {
-        "table4" => table4::run(budget, seed)
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "no feasible design found".into()),
-        "figure2" => figure2::run(options.budget as usize * 10, 30, seed).to_string(),
-        "figure3" => figure3::run(budget, 1000, seed).to_string(),
-        "figure4" => figure4::run(&figure4::paper_app_counts(), budget, seed).to_string(),
-        "figure5" => {
-            let k = sensitivity::SweepKind::DataObject;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "table4" => match table4::run(budget, seed) {
+            Some(t) => (t.to_string(), Some(csv::table4_csv(&t))),
+            None => ("no feasible design found\n".into(), None),
+        },
+        "figure2" => {
+            let b = options.budget;
+            let overflow = || format!("figure2 draws 10 × budget samples; budget {b} overflows");
+            let samples =
+                b.checked_mul(10).and_then(|n| usize::try_from(n).ok()).ok_or_else(overflow)?;
+            let fig = figure2::run(samples, 30, seed);
+            (fig.to_string(), Some(csv::figure2_csv(&fig)))
         }
-        "figure6" => {
-            let k = sensitivity::SweepKind::DiskArray;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "figure3" => compare(budget),
+        "figure3-wallclock" => compare(Budget::wall_clock(Duration::from_secs(options.budget))),
+        "figure4" => {
+            let fig = figure4::run(&figure4::paper_app_counts(), budget, seed);
+            (fig.to_string(), Some(csv::figure4_csv(&fig)))
         }
-        "figure7" => {
-            let k = sensitivity::SweepKind::SiteDisaster;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "figure5" => sweep(sensitivity::SweepKind::DataObject),
+        "figure6" => sweep(sensitivity::SweepKind::DiskArray),
+        "figure7" => sweep(sensitivity::SweepKind::SiteDisaster),
+        "ablation" => {
+            let study = ablation::run(budget, &[seed, seed.wrapping_add(1), seed.wrapping_add(2)]);
+            (study.to_string(), Some(csv::ablation_csv(&study)))
         }
-        "ablation" => ablation::run(budget, &[seed, seed + 1, seed + 2]).to_string(),
+        "scheduling" => {
+            let study = scheduling::run(budget, seed);
+            (study.map_or_else(|| "no feasible design found\n".into(), |s| s.to_string()), None)
+        }
         other => return Err(format!("unknown experiment: {other}").into()),
     };
     Ok(out)
@@ -1004,12 +1036,54 @@ mod tests {
         assert!(cmd_obs_diff(a, "not json").is_err());
     }
 
+    /// Every experiment name runs, and its CSV is the `experiments::csv`
+    /// rendering of the same experiment call. Budget 0 keeps each name to
+    /// milliseconds: iteration budgets expire at once, and so does
+    /// `figure3-wallclock`'s zero seconds, which keeps it deterministic.
     #[test]
     fn experiments_dispatch() {
-        let out =
-            cmd_experiment("figure2", RunOptions { budget: 10, seed: 1, ..RunOptions::default() })
-                .unwrap();
-        assert!(out.contains("Figure 2"));
+        let (budget, seed) = (Budget::iterations(0), 7);
+        let sweep = |kind: sensitivity::SweepKind| {
+            Some(csv::sensitivity_csv(&sensitivity::run(kind, &kind.paper_rates(), budget, seed)))
+        };
+        let expected = [
+            // No feasible design at budget 0, so no CSV.
+            ("table4", None),
+            ("figure2", Some(csv::figure2_csv(&figure2::run(0, 30, seed)))),
+            ("figure3", Some(csv::figure3_csv(&figure3::run(budget, 1000, seed)))),
+            (
+                "figure3-wallclock",
+                Some(csv::figure3_csv(&figure3::run(
+                    Budget::wall_clock(Duration::ZERO),
+                    1000,
+                    seed,
+                ))),
+            ),
+            (
+                "figure4",
+                Some(csv::figure4_csv(&figure4::run(&figure4::paper_app_counts(), budget, seed))),
+            ),
+            ("figure5", sweep(sensitivity::SweepKind::DataObject)),
+            ("figure6", sweep(sensitivity::SweepKind::DiskArray)),
+            ("figure7", sweep(sensitivity::SweepKind::SiteDisaster)),
+            ("ablation", Some(csv::ablation_csv(&ablation::run(budget, &[7, 8, 9])))),
+            ("scheduling", None),
+        ];
+        for (name, want) in expected {
+            let (text, got) =
+                cmd_experiment(name, RunOptions { budget: 0, seed, ..RunOptions::default() })
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!text.is_empty(), "{name}");
+            assert_eq!(got, want, "{name}");
+        }
         assert!(cmd_experiment("figure9", RunOptions::default()).is_err());
+
+        // Extreme flag values never panic: the ablation seeds wrap, and a
+        // figure2 sample count that overflows is an error.
+        let seeds_wrap = RunOptions { budget: 0, seed: u64::MAX, ..RunOptions::default() };
+        assert!(cmd_experiment("ablation", seeds_wrap).is_ok());
+        let samples_overflow =
+            RunOptions { budget: 1_844_674_407_370_955_162, ..RunOptions::default() };
+        assert!(cmd_experiment("figure2", samples_overflow).is_err());
     }
 }

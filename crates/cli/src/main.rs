@@ -8,7 +8,9 @@
 //!     [--progress] [--progress-log progress.jsonl]
 //! dsd evaluate env.toml design.json      # re-evaluate a saved design
 //! dsd explain env.toml design.json [--top N] [--json report.json]
-//! dsd experiment table4|figure2..figure7|ablation [--budget N] [--seed N]
+//! dsd experiment table4|figure2..figure7|ablation [--budget N] [--seed N] [--csv out.csv]
+//! dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv out.csv]
+//! dsd experiment scheduling [--budget N] [--seed N]    # no CSV form
 //! dsd obs summary trace.jsonl [metrics.json] [--top N]
 //! dsd obs profile trace.jsonl [metrics.json] [--top N] [--json profile.json]
 //! dsd obs flame trace.jsonl [--chrome-trace enriched.json]
@@ -29,7 +31,7 @@ use dsd_cli::commands::{
 use dsd_cli::live::ProgressMonitor;
 
 fn usage() -> &'static str {
-    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment scheduling [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
 }
 
 /// Output-file options pulled from the flags.
@@ -229,7 +231,13 @@ fn run() -> Result<(), Box<dyn Error>> {
             if let Some(recorder) = &recorder {
                 export_observability(recorder, &outputs)?;
             }
-            print!("{}", result?);
+            let (text, csv) = result?;
+            print!("{text}");
+            if let Some(path) = outputs.csv {
+                let csv = csv.ok_or_else(|| format!("experiment {name} has no CSV to write"))?;
+                fs::write(&path, csv)?;
+                println!("csv written to {path}");
+            }
         }
         ["analyze-trace", trace_path] => {
             let trace = fs::read_to_string(trace_path)?;

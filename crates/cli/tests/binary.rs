@@ -472,3 +472,35 @@ fn tables_subcommand_prints_catalogs() {
     assert!(text.contains("Table 1"));
     assert!(text.contains("XP1200"));
 }
+
+/// `dsd experiment --csv` writes the run's `experiments::csv` rendering;
+/// a run with no CSV form exits 1 with the error event and writes no file.
+#[test]
+fn experiment_writes_its_csv_or_refuses() {
+    use dsd_core::Budget;
+    use dsd_scenarios::experiments::{csv, table4};
+
+    let dir = std::env::temp_dir().join(format!("dsd-experiment-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let table_path = dir.join("table4.csv");
+    let out = dsd()
+        .args(["experiment", "table4", "--budget", "10", "--seed", "7", "--csv"])
+        .arg(&table_path)
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let table = table4::run(Budget::iterations(10), 7).expect("feasible at budget 10");
+    assert_eq!(std::fs::read_to_string(&table_path).unwrap(), csv::table4_csv(&table));
+
+    let schedule_path = dir.join("scheduling.csv");
+    let out = dsd()
+        .args(["experiment", "scheduling", "--budget", "10", "--seed", "7", "--csv"])
+        .arg(&schedule_path)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains(r#"{"event":"error""#));
+    assert!(!schedule_path.exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}

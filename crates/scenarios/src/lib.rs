@@ -12,8 +12,8 @@
 //!
 //! [`experiments`] contains one driver per table/figure of the evaluation;
 //! each returns structured data and renders a text table comparable to
-//! the paper's, so the `dsd-bench` binaries and Criterion benches stay
-//! thin.
+//! the paper's (and CSV via [`experiments::csv`]), so `dsd experiment`
+//! stays thin.
 //!
 //! # Examples
 //!

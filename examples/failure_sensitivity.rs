@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release --example failure_sensitivity
 //! ```
-//! Use the `figure5`/`figure6`/`figure7` binaries in `dsd-bench` for the
+//! Use `dsd experiment figure5` (likewise `figure6`, `figure7`) for the
 //! full paper-scale sweeps.
 
 use dsd::core::Budget;
