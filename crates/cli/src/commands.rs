@@ -347,9 +347,25 @@ pub fn cmd_analyze_trace(trace_text: &str) -> Result<String, Box<dyn Error>> {
     Ok(out)
 }
 
+/// Parses a JSONL trace (or progress log) leniently, rejecting non-blank
+/// input from which nothing parses — the one reader behind `dsd obs
+/// summary`, `profile`, `flame` and `curve`.
+///
+/// # Errors
+///
+/// A message carrying the first parse error.
+pub(crate) fn parse_trace(text: &str) -> Result<dsd_obs::export::ParsedTrace, String> {
+    let parsed = dsd_obs::export::parse_jsonl(text);
+    if parsed.records.is_empty() && !text.trim().is_empty() {
+        let detail = parsed.first_error.unwrap_or_else(|| "no parseable lines".to_string());
+        return Err(format!("not a JSONL trace ({detail})"));
+    }
+    Ok(parsed)
+}
+
 /// `dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]` — digest a
 /// recorded solver trace: top-`top` events by cumulative time, the
-/// objective-vs-evaluations curve from `solver.improved` points, and
+/// global incumbent curve from `progress.incumbent` events, and
 /// (when a metrics snapshot is given) the headline counters, gauges,
 /// latency percentiles, per-move-type acceptance rates, and delta-cache
 /// effectiveness.
@@ -362,11 +378,7 @@ pub fn cmd_obs_summary(
     metrics_text: Option<&str>,
     top: usize,
 ) -> Result<String, Box<dyn Error>> {
-    let parsed = dsd_obs::export::parse_jsonl(trace_text);
-    if parsed.records.is_empty() && !trace_text.trim().is_empty() {
-        let detail = parsed.first_error.unwrap_or_else(|| "no parseable lines".to_string());
-        return Err(format!("not a JSONL trace ({detail})").into());
-    }
+    let parsed = parse_trace(trace_text)?;
     let records = parsed.records;
     let mut out = String::new();
     let _ = writeln!(out, "trace: {} events", records.len());
@@ -388,13 +400,23 @@ pub fn cmd_obs_summary(
         );
     }
 
-    let curve = dsd_obs::export::objective_curve(&records);
+    // The global incumbent curve: every strategy's (and every lane's)
+    // incumbents in time order, keeping those that beat the best so far,
+    // so the curve is monotone.
+    let mut curve: Vec<(u64, f64)> = Vec::new();
+    for event in records.iter().filter_map(dsd_obs::ProgressEvent::decode) {
+        if let dsd_obs::ProgressKind::IncumbentImproved { cost, evals, .. } = event.kind {
+            if curve.last().is_none_or(|&(_, best)| cost < best) {
+                curve.push((evals, cost));
+            }
+        }
+    }
     if curve.is_empty() {
-        let _ = writeln!(out, "objective curve: no solver.improved events in trace");
+        let _ = writeln!(out, "objective curve: no progress.incumbent events in trace");
     } else {
         let _ = writeln!(out, "objective vs evaluations ({} improvements):", curve.len());
-        for point in &curve {
-            let _ = writeln!(out, "  {:>8.0} evals  ->  ${:.0}", point.evals, point.cost);
+        for (evals, cost) in &curve {
+            let _ = writeln!(out, "  {evals:>8} evals  ->  ${cost:.0}");
         }
     }
 
@@ -633,11 +655,7 @@ pub fn cmd_obs_profile(
     metrics_text: Option<&str>,
     top: usize,
 ) -> Result<(String, String), Box<dyn Error>> {
-    let parsed = dsd_obs::export::parse_jsonl(trace_text);
-    if parsed.records.is_empty() && !trace_text.trim().is_empty() {
-        let detail = parsed.first_error.unwrap_or_else(|| "no parseable lines".to_string());
-        return Err(format!("not a JSONL trace ({detail})").into());
-    }
+    let parsed = parse_trace(trace_text)?;
     let mut tree = dsd_obs::ProfileTree::from_records(&parsed.records);
     tree.verify().map_err(|e| format!("profile tree failed its sum invariant: {e}"))?;
     let snapshot: Option<dsd_obs::MetricsSnapshot> =
@@ -736,11 +754,7 @@ pub fn cmd_obs_profile(
 ///
 /// An unparseable trace, or a tree failing its containment invariant.
 pub fn cmd_obs_flame(trace_text: &str) -> Result<(String, String), Box<dyn Error>> {
-    let parsed = dsd_obs::export::parse_jsonl(trace_text);
-    if parsed.records.is_empty() && !trace_text.trim().is_empty() {
-        let detail = parsed.first_error.unwrap_or_else(|| "no parseable lines".to_string());
-        return Err(format!("not a JSONL trace ({detail})").into());
-    }
+    let parsed = parse_trace(trace_text)?;
     let tree = dsd_obs::ProfileTree::from_records(&parsed.records);
     tree.verify().map_err(|e| format!("profile tree failed its sum invariant: {e}"))?;
     Ok((tree.collapsed(), dsd_obs::profile::chrome_trace_enriched(&parsed.records)))
@@ -753,8 +767,9 @@ fn ns_to_ms(ns: u64) -> f64 {
     }
 }
 
-/// `dsd obs curve <progress.jsonl>...` — turn one or more flight-recorder
-/// logs (`dsd design --progress-log`) into a convergence-curve report:
+/// `dsd obs curve <trace-or-progress.jsonl>...` — turn the progress
+/// events of one or more progress logs (`dsd design --progress-log`) or
+/// traces (`--trace`) into a convergence-curve report:
 /// cost and certificate gap vs time, time-to-X%-gap milestones,
 /// per-worker lanes (including steal/adoption cooperation counts), and
 /// an A/B table when several runs are given. `lane` narrows every run to
@@ -764,8 +779,8 @@ fn ns_to_ms(ns: u64) -> f64 {
 ///
 /// # Errors
 ///
-/// An input that yields no progress events (and is not blank), or a
-/// `lane` present in none of the runs.
+/// Non-blank input from which nothing parses, or a `lane` present in
+/// none of the runs.
 pub fn cmd_obs_curve(
     runs: &[(String, String)],
     lane: Option<u64>,
@@ -847,11 +862,7 @@ mod tests {
             let _g = recorder.install();
             let mut span = dsd_obs::span("solver.solve", "solver");
             span.arg("budget", 10u64);
-            dsd_obs::instant_with(
-                "solver.improved",
-                "solver",
-                vec![("evals", 5u64.into()), ("cost", 1234.5f64.into())],
-            );
+            dsd_obs::progress::incumbent_improved(1234.5, None, 5);
             dsd_obs::add("solver.nodes_evaluated", 5);
             dsd_obs::add("solver.trials.reassign", 8);
             dsd_obs::add("solver.accepted.reassign", 2);
@@ -900,13 +911,13 @@ mod tests {
     #[test]
     fn obs_curve_digests_a_real_design_progress_log() {
         let spec = cmd_init();
-        let channel = dsd_obs::ProgressChannel::new();
+        let recorder = dsd_obs::Recorder::progress_only();
         let _ = {
-            let _g = channel.install();
+            let _g = recorder.install();
             cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
                 .expect("solvable")
         };
-        let log = dsd_obs::progress::progress_jsonl(&channel.poll());
+        let log = dsd_obs::export::trace_jsonl(&recorder.drain_events());
         let (text, json, csv) = cmd_obs_curve(&[("run".to_string(), log)], None).expect("curves");
         assert!(text.contains("time to gap:"), "{text}");
         assert!(text.contains("worker lanes:"), "{text}");

@@ -1,8 +1,9 @@
-//! Convergence-curve reports over flight-recorder logs (`dsd obs
-//! curve`).
+//! Convergence-curve reports over progress events (`dsd obs curve`).
 //!
-//! A progress log (`dsd design --progress-log`) is a JSONL stream of
-//! typed events; this module turns one or more of them into a report:
+//! A progress log (`dsd design --progress-log`) holds a run's
+//! `progress.*` events as JSONL trace lines, and a full trace
+//! (`--trace`) carries the same events among its spans; this module
+//! turns the progress events of one or more of either into a report:
 //! cost and certificate gap versus elapsed time, time-to-X%-gap
 //! milestones, per-worker lanes, and — with several runs — an A/B table
 //! against the first run. Parsing is lenient (torn tails are counted,
@@ -10,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use dsd_obs::progress::{parse_progress_jsonl, ProgressKind};
+use dsd_obs::progress::ProgressKind;
 use dsd_obs::ProgressEvent;
 use serde::Value;
 
@@ -21,7 +22,7 @@ pub const GAP_THRESHOLDS: &[f64] = &[50.0, 20.0, 10.0, 5.0, 2.0, 1.0];
 /// One incumbent-improvement sample on the curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveSample {
-    /// Seconds since the channel epoch.
+    /// Seconds since the recorder epoch.
     pub elapsed_secs: f64,
     /// Incumbent objective (total annual cost, dollars).
     pub cost: f64,
@@ -32,7 +33,7 @@ pub struct CurveSample {
 /// Per-worker lane digest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lane {
-    /// Dense worker index from the progress channel.
+    /// Worker lane: the recorder's thread index.
     pub worker: u64,
     /// Last cumulative evaluation count reported by this lane.
     pub evals: u64,
@@ -48,31 +49,29 @@ pub struct Lane {
     pub adoptions: u64,
 }
 
-/// One parsed progress log.
+/// The progress events of one parsed progress log or trace.
 #[derive(Debug, Clone)]
 pub struct RunCurve {
     /// Display name (the file stem of the log).
     pub name: String,
-    /// Every parsed event, in emission order.
+    /// Every progress event, in time order.
     pub events: Vec<ProgressEvent>,
     /// Malformed lines skipped by the lenient parser.
     pub skipped: u64,
 }
 
 impl RunCurve {
-    /// Parses a progress log leniently. Errors only when nothing parses
-    /// from non-blank input (the file is not a progress log at all).
+    /// Parses a progress log or a trace leniently and keeps its progress
+    /// events. Errors only when nothing parses from non-blank input (the
+    /// file is not a JSONL trace at all).
     ///
     /// # Errors
     ///
     /// A message naming the run and the first parse error.
     pub fn parse(name: &str, text: &str) -> Result<RunCurve, String> {
-        let parsed = parse_progress_jsonl(text);
-        if parsed.events.is_empty() && !text.trim().is_empty() {
-            let detail = parsed.first_error.unwrap_or_else(|| "no parseable lines".to_string());
-            return Err(format!("{name}: not a progress log ({detail})"));
-        }
-        Ok(RunCurve { name: name.to_string(), events: parsed.events, skipped: parsed.skipped })
+        let parsed = crate::commands::parse_trace(text).map_err(|e| format!("{name}: {e}"))?;
+        let events = parsed.records.iter().filter_map(ProgressEvent::decode).collect();
+        Ok(RunCurve { name: name.to_string(), events, skipped: parsed.skipped })
     }
 
     /// The incumbent-improvement curve, in time order.
@@ -391,49 +390,45 @@ pub fn csv(runs: &[RunCurve]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsd_obs::progress::progress_jsonl;
+    use dsd_obs::{ArgValue, Event, EventKind};
+
+    type Args = Vec<(&'static str, ArgValue)>;
+
+    /// A progress log of `(worker, elapsed_ns, name, args)` events, in
+    /// the trace JSONL a recorder writes.
+    fn log(events: Vec<(u64, u64, &'static str, Args)>) -> String {
+        let events: Vec<Event> = events
+            .into_iter()
+            .map(|(thread, start_ns, name, args)| Event {
+                name,
+                cat: dsd_obs::progress::CATEGORY,
+                kind: EventKind::Instant,
+                start_ns,
+                dur_ns: 0,
+                thread,
+                args,
+            })
+            .collect();
+        dsd_obs::export::trace_jsonl(&events)
+    }
+
+    fn incumbent(cost: f64, gap_pct: f64, evals: u64) -> Args {
+        vec![("cost", cost.into()), ("evals", evals.into()), ("gap_pct", gap_pct.into())]
+    }
 
     fn sample_log() -> String {
-        let events = vec![
-            ProgressEvent {
-                worker: 0,
-                elapsed_ns: 1_000_000,
-                kind: ProgressKind::PhaseEntered { phase: "greedy".into() },
-            },
-            ProgressEvent {
-                worker: 0,
-                elapsed_ns: 2_000_000,
-                kind: ProgressKind::IncumbentImproved {
-                    cost: 2000.0,
-                    gap_pct: Some(40.0),
-                    evals: 5,
-                },
-            },
-            ProgressEvent {
-                worker: 1,
-                elapsed_ns: 3_000_000,
-                kind: ProgressKind::WorkerHeartbeat {
-                    evals: 8,
-                    evals_per_sec: 100.0,
-                    cache_hit_rate: 0.25,
-                },
-            },
-            ProgressEvent {
-                worker: 0,
-                elapsed_ns: 4_000_000,
-                kind: ProgressKind::IncumbentImproved {
-                    cost: 1500.0,
-                    gap_pct: Some(4.0),
-                    evals: 9,
-                },
-            },
-            ProgressEvent {
-                worker: 0,
-                elapsed_ns: 5_000_000,
-                kind: ProgressKind::Done { cost: Some(1500.0), gap_pct: Some(4.0), evals: 9 },
-            },
-        ];
-        progress_jsonl(&events)
+        log(vec![
+            (0, 1_000_000, "progress.phase", vec![("phase", "greedy".into())]),
+            (0, 2_000_000, "progress.incumbent", incumbent(2000.0, 40.0, 5)),
+            (
+                1,
+                3_000_000,
+                "progress.heartbeat",
+                vec![("evals", 8u64.into()), ("evals_per_sec", 100.0.into())],
+            ),
+            (0, 4_000_000, "progress.incumbent", incumbent(1500.0, 4.0, 9)),
+            (0, 5_000_000, "progress.done", incumbent(1500.0, 4.0, 9)),
+        ])
     }
 
     #[test]
@@ -451,47 +446,20 @@ mod tests {
     }
 
     fn cooperative_log() -> String {
-        let mut events = vec![
-            ProgressEvent {
-                worker: 0,
-                elapsed_ns: 1_000_000,
-                kind: ProgressKind::IncumbentImproved {
-                    cost: 2000.0,
-                    gap_pct: Some(40.0),
-                    evals: 5,
-                },
-            },
-            ProgressEvent {
-                worker: 1,
-                elapsed_ns: 2_000_000,
-                kind: ProgressKind::TaskStolen { victim: 0, steals: 1 },
-            },
-            ProgressEvent {
-                worker: 1,
-                elapsed_ns: 3_000_000,
-                kind: ProgressKind::TaskStolen { victim: 0, steals: 2 },
-            },
-            ProgressEvent {
-                worker: 1,
-                elapsed_ns: 4_000_000,
-                kind: ProgressKind::IncumbentAdopted { cost: 2000.0, adoptions: 1 },
-            },
-            ProgressEvent {
-                worker: 1,
-                elapsed_ns: 5_000_000,
-                kind: ProgressKind::IncumbentImproved {
-                    cost: 1800.0,
-                    gap_pct: Some(20.0),
-                    evals: 7,
-                },
-            },
-        ];
-        events.push(ProgressEvent {
-            worker: 0,
-            elapsed_ns: 6_000_000,
-            kind: ProgressKind::Done { cost: Some(1800.0), gap_pct: Some(20.0), evals: 9 },
-        });
-        progress_jsonl(&events)
+        let steal = |steals: u64| vec![("victim", 0u64.into()), ("steals", steals.into())];
+        log(vec![
+            (0, 1_000_000, "progress.incumbent", incumbent(2000.0, 40.0, 5)),
+            (1, 2_000_000, "progress.steal", steal(1)),
+            (1, 3_000_000, "progress.steal", steal(2)),
+            (
+                1,
+                4_000_000,
+                "progress.adopt",
+                vec![("cost", 2000.0.into()), ("adoptions", 1u64.into())],
+            ),
+            (1, 5_000_000, "progress.incumbent", incumbent(1800.0, 20.0, 7)),
+            (0, 6_000_000, "progress.done", incumbent(1800.0, 20.0, 9)),
+        ])
     }
 
     #[test]
@@ -572,7 +540,9 @@ mod tests {
 
         // Torn tails are skipped, not fatal; garbage is an error.
         let mut torn = sample_log();
-        torn.push_str("{\"t\":\"incumbent\",\"wor");
+        torn.push_str(
+            "{\"ts_us\":6000.0,\"dur_us\":0.0,\"kind\":\"instant\",\"name\":\"progress.inc",
+        );
         let run = RunCurve::parse("torn", &torn).expect("parses");
         assert_eq!(run.skipped, 1);
         assert!(RunCurve::parse("bad", "not a log").is_err());

@@ -10,10 +10,9 @@
 //! * [`report`] — markdown design reports (`dsd design --report`);
 //! * [`commands`] — the subcommand implementations shared by the binary
 //!   and the integration tests;
-//! * [`live`] — the `--progress` live status line and the collector
-//!   behind `--progress-log`;
-//! * [`convergence`] — convergence-curve reports over progress logs
-//!   (`dsd obs curve`).
+//! * [`live`] — the `--progress` live status line;
+//! * [`convergence`] — convergence-curve reports over the progress
+//!   events of progress logs and traces (`dsd obs curve`).
 //!
 //! # Example spec
 //!

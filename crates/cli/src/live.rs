@@ -1,11 +1,11 @@
 //! Live progress rendering for `dsd design --progress`.
 //!
-//! A [`ProgressMonitor`] owns a [`ProgressChannel`] plus a background
-//! consumer thread that polls it (~10 Hz), folds the events into a
-//! [`StatusState`], and — in live mode — repaints a one-line status on
-//! stderr (stderr so piped stdout stays clean). All drained events are
-//! retained and handed back by [`ProgressMonitor::finish`], so the same
-//! stream can be written to a `--progress-log` JSONL file afterwards.
+//! A [`ProgressMonitor`] runs a background thread that polls the
+//! installed recorder's progress events (~10 Hz) with
+//! [`Recorder::progress_since`], folds them into a [`StatusState`], and
+//! repaints a one-line status on stderr (stderr so piped stdout stays
+//! clean). It reads without draining, so the same events still reach
+//! the trace and the `--progress-log` file afterwards.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -15,7 +15,7 @@ use std::thread;
 use std::time::Duration;
 
 use dsd_obs::progress::ProgressKind;
-use dsd_obs::{ProgressChannel, ProgressEvent, ProgressGuard};
+use dsd_obs::{ProgressEvent, Recorder};
 
 /// Rolling digest of a progress stream, rendered as the status line.
 #[derive(Debug, Default, Clone)]
@@ -114,30 +114,25 @@ impl StatusState {
     }
 }
 
-/// Channel + consumer thread behind `--progress` / `--progress-log`.
+/// The status-line painter behind `--progress`.
 pub struct ProgressMonitor {
-    channel: ProgressChannel,
     stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<Vec<ProgressEvent>>,
+    handle: thread::JoinHandle<StatusState>,
 }
 
 impl ProgressMonitor {
-    /// Starts the monitor. `live` controls the stderr status line; the
-    /// event stream is collected either way.
+    /// Starts painting the progress events `recorder` records, from
+    /// whichever threads it is installed on.
     #[must_use]
-    pub fn start(live: bool) -> Self {
-        let channel = ProgressChannel::new();
+    pub fn start(recorder: &Recorder) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let (poller, stopper) = (channel.clone(), Arc::clone(&stop));
+        let (recorder, stopper) = (recorder.clone(), Arc::clone(&stop));
         let handle = thread::spawn(move || {
-            let mut events = Vec::new();
+            let mut cursor = 0;
             let mut state = StatusState::default();
             loop {
                 let finished = stopper.load(Ordering::Acquire);
-                let batch = poller.poll();
-                let dirty = state.absorb(&batch);
-                events.extend(batch);
-                if live && dirty {
+                if state.absorb(&recorder.progress_since(&mut cursor)) {
                     // \r + clear-to-end keeps repaints on a single line.
                     eprint!("\r\x1b[K{}", state.line());
                     let _ = std::io::stderr().flush();
@@ -147,32 +142,17 @@ impl ProgressMonitor {
                 }
                 thread::sleep(Duration::from_millis(100));
             }
-            if live {
-                // Leave the final status visible and restore the cursor.
-                eprintln!();
-            }
-            events
+            // Leave the final status visible and restore the cursor.
+            eprintln!();
+            state
         });
-        ProgressMonitor { channel, stop, handle }
+        ProgressMonitor { stop, handle }
     }
 
-    /// Installs the underlying channel on the calling thread (the solver
-    /// thread), returning the emission guard.
+    /// Stops the painter after one final read and returns the digest it
+    /// painted last.
     #[must_use]
-    pub fn install(&self) -> ProgressGuard {
-        self.channel.install()
-    }
-
-    /// Events dropped by the bounded queue so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.channel.dropped()
-    }
-
-    /// Stops the consumer (after one final drain) and returns every
-    /// collected event in emission order.
-    #[must_use]
-    pub fn finish(self) -> Vec<ProgressEvent> {
+    pub fn finish(self) -> StatusState {
         self.stop.store(true, Ordering::Release);
         self.handle.join().unwrap_or_default()
     }
@@ -197,15 +177,7 @@ mod tests {
                 2_000_000,
                 ProgressKind::IncumbentImproved { cost: 1234.0, gap_pct: Some(7.5), evals: 10 },
             ),
-            event(
-                1,
-                3_000_000,
-                ProgressKind::WorkerHeartbeat {
-                    evals: 20,
-                    evals_per_sec: 5.0,
-                    cache_hit_rate: 0.5,
-                },
-            ),
+            event(1, 3_000_000, ProgressKind::WorkerHeartbeat { evals: 20, evals_per_sec: 5.0 }),
             event(0, 4_000_000, ProgressKind::Restart { restarts: 2 }),
         ]);
         assert!(dirty);
@@ -231,16 +203,18 @@ mod tests {
 
     #[test]
     fn monitor_collects_events_across_threads() {
-        let monitor = ProgressMonitor::start(false);
+        let recorder = Recorder::progress_only();
+        let monitor = ProgressMonitor::start(&recorder);
         {
-            let _g = monitor.install();
+            let _g = recorder.install();
             dsd_obs::progress::phase_entered("greedy");
             dsd_obs::progress::incumbent_improved(10.0, Some(1.0), 5);
             dsd_obs::progress::done(Some(10.0), Some(1.0), 5);
         }
-        assert_eq!(monitor.dropped(), 0);
-        let events = monitor.finish();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events.last().unwrap().kind, ProgressKind::Done { .. }));
+        let line = monitor.finish().line();
+        assert!(line.contains("[greedy]"), "{line}");
+        assert!(line.contains("cost $10 gap 1.0% evals 5"), "{line}");
+        assert!(line.ends_with(" done"), "the final read saw every event: {line}");
+        assert_eq!(recorder.progress_since(&mut 0).len(), 3, "the monitor drains nothing");
     }
 }

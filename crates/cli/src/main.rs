@@ -14,7 +14,7 @@
 //! dsd obs summary trace.jsonl [metrics.json] [--top N]
 //! dsd obs profile trace.jsonl [metrics.json] [--top N] [--json profile.json]
 //! dsd obs flame trace.jsonl [--chrome-trace enriched.json]
-//! dsd obs curve progress.jsonl... [--json report.json] [--csv curve.csv]
+//! dsd obs curve trace-or-progress.jsonl... [--json report.json] [--csv curve.csv]
 //! dsd obs diff run-a.json run-b.json [--fail-on-regression]
 //! dsd tournament [--budget N] [--seed N] [--apps N] [--json report.json]
 //! ```
@@ -31,7 +31,7 @@ use dsd_cli::commands::{
 use dsd_cli::live::ProgressMonitor;
 
 fn usage() -> &'static str {
-    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment scheduling [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment scheduling [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <trace-or-progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
 }
 
 /// Output-file options pulled from the flags.
@@ -148,19 +148,27 @@ fn parse_flags(args: &[String]) -> Result<(Vec<&str>, RunOptions, OutputPaths), 
     Ok((positional, options, out))
 }
 
-/// Writes the recorder's trace/metrics to every requested path. Called
-/// after the install guard has dropped, so all buffers have flushed.
+/// Writes the recorder's progress log/trace/metrics to every requested
+/// path. Called after the install guard has dropped, so all buffers have
+/// flushed.
 fn export_observability(
     recorder: &dsd_obs::Recorder,
     outputs: &OutputPaths,
 ) -> Result<(), Box<dyn Error>> {
     let events = recorder.drain_events();
+    if let Some(path) = &outputs.progress_log {
+        let progress: Vec<dsd_obs::Event> =
+            events.iter().filter(|e| e.cat == dsd_obs::progress::CATEGORY).cloned().collect();
+        fs::write(path, dsd_obs::export::trace_jsonl(&progress))?;
+        println!("progress log written to {path}");
+    }
     if let Some(path) = &outputs.trace {
         fs::write(path, dsd_obs::export::trace_jsonl(&events))?;
         println!("trace written to {path}");
     }
     if let Some(path) = &outputs.chrome_trace {
-        fs::write(path, dsd_obs::export::chrome_trace(&events))?;
+        let records: Vec<_> = events.iter().map(dsd_obs::export::TraceRecord::from).collect();
+        fs::write(path, dsd_obs::profile::chrome_trace_enriched(&records))?;
         println!("chrome trace written to {path}");
     }
     if let Some(path) = &outputs.metrics {
@@ -183,26 +191,22 @@ fn run() -> Result<(), Box<dyn Error>> {
         ["tables"] => print!("{}", cmd_tables()),
         ["design", spec_path] => {
             let spec = fs::read_to_string(spec_path)?;
-            // The flight recorder streams typed progress events to a
-            // consumer thread; `--progress` renders them live on stderr,
-            // `--progress-log` persists them as JSONL afterwards.
-            let monitor = (outputs.progress || outputs.progress_log.is_some())
-                .then(|| ProgressMonitor::start(outputs.progress));
+            // Progress events ride the recorder: `--progress` paints them
+            // live on stderr, `--progress-log` writes them as JSONL
+            // afterwards. Without a trace or metrics output only the
+            // progress stream is recorded.
+            let recorder = recorder.or_else(|| {
+                (outputs.progress || outputs.progress_log.is_some())
+                    .then(dsd_obs::Recorder::progress_only)
+            });
+            let monitor =
+                recorder.as_ref().filter(|_| outputs.progress).map(ProgressMonitor::start);
             let result = {
                 let _guard = recorder.as_ref().map(dsd_obs::Recorder::install);
-                let _progress_guard = monitor.as_ref().map(ProgressMonitor::install);
                 cmd_design(&spec, options)
             };
             if let Some(monitor) = monitor {
-                let dropped = monitor.dropped();
-                let events = monitor.finish();
-                if let Some(path) = &outputs.progress_log {
-                    fs::write(path, dsd_obs::progress::progress_jsonl(&events))?;
-                    println!("progress log written to {path}");
-                }
-                if dropped > 0 {
-                    eprintln!("progress: {dropped} events dropped by the bounded queue");
-                }
+                let _ = monitor.finish();
             }
             if let Some(recorder) = &recorder {
                 export_observability(recorder, &outputs)?;

@@ -115,7 +115,9 @@ impl SavedDesign {
     /// # Errors
     ///
     /// [`SavedError::Mismatch`] when an application or technique is
-    /// unknown, or an allocation no longer fits the environment.
+    /// unknown, an application is assigned twice, a configuration or
+    /// placement does not fit its technique, or an allocation no longer
+    /// fits the environment.
     pub fn to_candidate(&self, env: &Environment) -> Result<Candidate, SavedError> {
         let mut candidate = Candidate::empty(env);
         for saved in &self.assignments {
@@ -125,9 +127,22 @@ impl SavedDesign {
                     saved.app
                 )));
             }
+            let mismatch = |what: &str| SavedError::Mismatch(format!("{}: {what}", saved.app_name));
+            if candidate.assignment(AppId(saved.app)).is_some() {
+                return Err(mismatch(&format!("application index {} assigned twice", saved.app)));
+            }
             let technique = env.catalog.find(&saved.technique).ok_or_else(|| {
                 SavedError::Mismatch(format!("unknown technique: {}", saved.technique))
             })?;
+            if !saved.config.is_valid() {
+                return Err(mismatch(&format!("invalid configuration ({})", saved.config)));
+            }
+            if !saved.placement.consistent_with(&env.catalog[technique]) {
+                return Err(mismatch(&format!(
+                    "placement does not match technique {}",
+                    saved.technique
+                )));
+            }
             // Validate the placement's coordinates before touching the
             // provision: out-of-range sites/slots would otherwise panic
             // deep inside allocation.
@@ -158,8 +173,15 @@ impl SavedDesign {
                     )));
                 }
             }
-            // The placement's route is re-resolved during assignment; the
-            // shape (mirror slot, tape slot) must still exist.
+            // Assignment resolves the route between the primary and mirror
+            // sites; a saved route must name that one.
+            let route = saved
+                .placement
+                .mirror
+                .and_then(|m| env.topology.route_between(saved.placement.primary.site, m.site));
+            if saved.placement.route != route {
+                return Err(mismatch("route does not join the primary and mirror sites"));
+            }
             candidate
                 .try_assign(env, AppId(saved.app), technique, saved.config, saved.placement)
                 .map_err(|e| SavedError::Mismatch(format!("{}: {e}", saved.app_name)))?;

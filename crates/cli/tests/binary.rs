@@ -145,10 +145,23 @@ fn design_records_trace_and_metrics() {
     assert!(snapshot.counter("solver.nodes_evaluated").unwrap_or(0) > 0);
     assert!(snapshot.histogram("solver.eval_latency").is_some());
 
-    // The Chrome trace is one JSON array.
+    // The Chrome trace is the enriched one: a non-empty `traceEvents`
+    // array whose spans carry their call path.
     let chrome_text = std::fs::read_to_string(&chrome_path).unwrap();
     let chrome = serde_json::parse(&chrome_text).expect("chrome trace parses");
-    assert!(matches!(chrome, serde::Value::Seq(ref v) if !v.is_empty()));
+    let Some(serde::Value::Seq(trace_events)) = chrome.get("traceEvents") else {
+        panic!("no traceEvents array: {chrome_text}");
+    };
+    assert!(!trace_events.is_empty());
+    let spans: Vec<_> = trace_events
+        .iter()
+        .filter(|e| e.get("ph") == Some(&serde::Value::Str("X".into())))
+        .collect();
+    assert!(!spans.is_empty(), "spans exported");
+    assert!(
+        spans.iter().all(|e| e.get("args").and_then(|a| a.get("path")).is_some()),
+        "every span carries its call path"
+    );
 
     // The solver publishes per-move-type convergence counters and the
     // final cost gauges for downstream diffing.
@@ -366,7 +379,7 @@ fn tournament_subcommand_certifies_and_writes_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The flight recorder end to end: a seeded `dsd design --progress-log`
+/// Progress events end to end: a seeded `dsd design --progress-log`
 /// writes a JSONL event stream whose final incumbent bit-matches the
 /// published cost/gap gauges, and `dsd obs curve` digests the log into a
 /// convergence report with time-to-gap milestones.
@@ -405,19 +418,22 @@ fn progress_log_bit_matches_the_metrics_and_curves_render() {
     let live = String::from_utf8_lossy(&design.stderr);
     assert!(live.contains("cost $"), "live status line painted: {live}");
 
-    // The log parses cleanly and ends with a done marker.
+    // The log parses cleanly, holds only progress events, and ends with
+    // a done marker.
     let log_text = std::fs::read_to_string(&progress_path).unwrap();
-    let parsed = dsd_obs::progress::parse_progress_jsonl(&log_text);
+    let parsed = dsd_obs::export::parse_jsonl(&log_text);
     assert_eq!(parsed.skipped, 0, "clean log: {:?}", parsed.first_error);
+    let events: Vec<dsd_obs::ProgressEvent> =
+        parsed.records.iter().filter_map(dsd_obs::ProgressEvent::decode).collect();
+    assert_eq!(events.len(), parsed.records.len(), "every line is a progress event");
     assert!(
-        matches!(parsed.events.last().map(|e| &e.kind), Some(dsd_obs::ProgressKind::Done { .. })),
+        matches!(events.last().map(|e| &e.kind), Some(dsd_obs::ProgressKind::Done { .. })),
         "log ends with a done event"
     );
 
     // The final incumbent event bit-matches the published gauges: the
-    // channel observes the same floats the solver reports.
-    let (final_cost, final_gap) = parsed
-        .events
+    // recorder observes the same floats the solver reports.
+    let (final_cost, final_gap) = events
         .iter()
         .rev()
         .find_map(|e| match e.kind {
@@ -460,6 +476,124 @@ fn progress_log_bit_matches_the_metrics_and_curves_render() {
     assert!(report.get("runs").is_some());
     let csv = std::fs::read_to_string(&csv_path).unwrap();
     assert!(csv.starts_with("run,elapsed_secs,cost,gap_pct"), "{csv}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One pipeline: a full trace carries the progress events a progress log
+/// holds, so `dsd obs curve` prints the same report for either file of
+/// one run, apart from the run name.
+#[test]
+fn obs_curve_reads_a_trace_like_its_progress_log() {
+    let dir = std::env::temp_dir().join(format!("dsd-curve-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("env.toml");
+    let trace_path = dir.join("t.jsonl");
+    let progress_path = dir.join("p.jsonl");
+
+    let init = dsd().arg("init").output().expect("runs");
+    assert!(init.status.success());
+    std::fs::write(&spec_path, &init.stdout).unwrap();
+    let design = dsd()
+        .args(["design", spec_path.to_str().unwrap(), "--budget", "15", "--seed", "3"])
+        .arg("--trace")
+        .arg(&trace_path)
+        .arg("--progress-log")
+        .arg(&progress_path)
+        .output()
+        .expect("runs");
+    assert!(design.status.success(), "{}", String::from_utf8_lossy(&design.stderr));
+
+    let curve = |path: &std::path::Path| {
+        let out = dsd().args(["obs", "curve"]).arg(path).output().expect("runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let from_trace = curve(&trace_path);
+    assert!(from_trace.starts_with("run t: "), "{from_trace}");
+    assert!(from_trace.contains("final: cost $"), "{from_trace}");
+    assert_eq!(from_trace.replacen("run t: ", "run p: ", 1), curve(&progress_path));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Hand-edited saved designs that used to panic (or pass silently) make
+/// `dsd evaluate` exit 1 with the structured error event.
+#[test]
+fn evaluate_rejects_inconsistent_saved_designs() {
+    let dir = std::env::temp_dir().join(format!("dsd-saved-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("env.toml");
+    let design_path = dir.join("design.json");
+    let init = dsd().arg("init").output().expect("runs");
+    assert!(init.status.success());
+    std::fs::write(&spec_path, &init.stdout).unwrap();
+    let design = dsd()
+        .args(["design", spec_path.to_str().unwrap(), "--budget", "15", "--seed", "3", "--save"])
+        .arg(&design_path)
+        .output()
+        .expect("runs");
+    assert!(design.status.success(), "{}", String::from_utf8_lossy(&design.stderr));
+    let saved = serde_json::parse(&std::fs::read_to_string(&design_path).unwrap()).unwrap();
+    let serde::Value::Map(top) = &saved else { panic!("design is an object") };
+    let Some(serde::Value::Seq(assignments)) = saved.get("assignments") else {
+        panic!("no assignments")
+    };
+    let placement_of = |a: &serde::Value| a.get("placement").cloned().unwrap();
+    let mirrored = assignments
+        .iter()
+        .position(|a| !matches!(placement_of(a).get("mirror"), Some(serde::Value::Null) | None))
+        .expect("the example design mirrors some app");
+
+    // Rebuilds the design with `edit` applied to the assignment list.
+    let edited = |edit: &dyn Fn(&mut Vec<serde::Value>)| {
+        let mut list = assignments.clone();
+        edit(&mut list);
+        let fields = top
+            .iter()
+            .map(|(k, v)| {
+                let v =
+                    if k == "assignments" { serde::Value::Seq(list.clone()) } else { v.clone() };
+                (k.clone(), v)
+            })
+            .collect();
+        serde_json::to_string(&serde::Value::Map(fields)).unwrap()
+    };
+    // Replaces `key` inside `path` (an object nested in an assignment).
+    let set = |item: &mut serde::Value, path: &str, key: &str, value: serde::Value| {
+        let serde::Value::Map(fields) = item else { panic!("assignment is an object") };
+        let (_, inner) = fields.iter_mut().find(|(k, _)| k == path).expect("nested object");
+        let serde::Value::Map(inner) = inner else { panic!("{path} is an object") };
+        inner.iter_mut().find(|(k, _)| k == key).expect("field present").1 = value;
+    };
+    let probes: Vec<(&str, String)> = vec![
+        ("duplicate app", edited(&|list| list.push(list[0].clone()))),
+        (
+            "negative snapshot interval",
+            edited(&|list| {
+                set(&mut list[0], "config", "snapshot_interval", serde::Value::Float(-1.0));
+            }),
+        ),
+        (
+            "mirror removed",
+            edited(&|list| set(&mut list[mirrored], "placement", "mirror", serde::Value::Null)),
+        ),
+        (
+            "unknown route",
+            edited(&|list| set(&mut list[mirrored], "placement", "route", serde::Value::Int(999))),
+        ),
+    ];
+    for (probe, text) in probes {
+        std::fs::write(&design_path, text).unwrap();
+        let out = dsd()
+            .args(["evaluate", spec_path.to_str().unwrap(), design_path.to_str().unwrap()])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{probe}: {stderr}");
+        assert!(stderr.contains(r#"{"event":"error""#), "{probe}: {stderr}");
+        assert!(stderr.contains("design does not fit environment"), "{probe}: {stderr}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,12 +30,6 @@ impl Budget {
         Budget { max_iterations: None, max_duration: Some(d) }
     }
 
-    /// Both limits; whichever trips first ends the solve.
-    #[must_use]
-    pub fn either(n: u64, d: Duration) -> Self {
-        Budget { max_iterations: Some(n), max_duration: Some(d) }
-    }
-
     /// Starts consuming this budget (timed on the workspace's monotonic
     /// [`Stopwatch`]).
     #[must_use]
@@ -115,13 +109,5 @@ mod tests {
         assert!(t.expired());
         let t2 = Budget::wall_clock(Duration::from_secs(3600)).start();
         assert!(!t2.expired());
-    }
-
-    #[test]
-    fn either_budget_trips_on_iterations_first() {
-        let mut t = Budget::either(1, Duration::from_secs(3600)).start();
-        assert!(!t.expired());
-        t.tick();
-        assert!(t.expired());
     }
 }

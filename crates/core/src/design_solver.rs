@@ -95,19 +95,6 @@ impl SolveStats {
         self.completion_time += other.completion_time;
     }
 
-    /// Fraction of this run's completions answered from the cache, in
-    /// `[0, 1]`; zero when the run performed no completions (or ran
-    /// uncached).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Publishes these counters into the currently installed
     /// [`dsd_obs`] metrics registry under the `solver.*` names (durations
     /// as `*_time_ns` counters). A no-op when no recorder is installed,
@@ -306,9 +293,7 @@ impl<'e> DesignSolver<'e> {
             self.refit_stage(&mut current, &mut reconf, rng, &mut run, &mut scache);
             run.stats.refit_time += refit_started.elapsed();
             drop(refit_span);
-            if run.offer(current) {
-                record_improvement(self.env, run.best(), &run.stats);
-            }
+            run.offer(current);
             run.heartbeat();
         }
 
@@ -481,7 +466,6 @@ impl<'e> DesignSolver<'e> {
                 Some(rb) if self.env.score(rb.cost()) < self.env.score(best.cost()) => {
                     *current = rb.clone();
                     best = rb;
-                    record_improvement(self.env, Some(&best), &run.stats);
                     // Progress incumbents only report *global* improvements
                     // (a later restart's local walk may trail the best seen
                     // so far), keeping the convergence curve monotone.
@@ -559,24 +543,6 @@ fn track_best(env: &Environment, slot: &mut Option<Candidate>, candidate: Candid
     if slot.as_ref().is_none_or(|held| env.score(candidate.cost()) < env.score(held.cost())) {
         *slot = Some(candidate);
     }
-}
-
-/// Emits a `solver.improved` instant carrying the evaluation count and
-/// the new best objective — the raw points of the objective-vs-
-/// evaluations curve (`dsd obs summary` reassembles it from the trace).
-fn record_improvement(env: &Environment, best: Option<&Candidate>, stats: &SolveStats) {
-    if !obs::enabled() {
-        return;
-    }
-    let Some(best) = best else { return };
-    obs::instant_with(
-        "solver.improved",
-        "solver",
-        vec![
-            ("evals", stats.nodes_evaluated.into()),
-            ("cost", env.score(best.cost()).as_f64().into()),
-        ],
-    );
 }
 
 #[cfg(test)]
@@ -707,7 +673,5 @@ mod tests {
         assert_eq!(a.greedy_time, Duration::from_millis(77));
         assert_eq!(a.refit_time, Duration::from_millis(88));
         assert_eq!(a.completion_time, Duration::from_millis(99));
-        assert!((b.cache_hit_rate() - 50.0 / 110.0).abs() < 1e-12);
-        assert!((SolveStats::default().cache_hit_rate()).abs() < 1e-12);
     }
 }

@@ -88,9 +88,9 @@ impl Environment {
     /// arithmetic over the inputs, so the memo is sound as long as the
     /// environment is not mutated afterwards — mutate fields *before*
     /// solving, or clone first: a clone always starts with an empty
-    /// memo). The flight recorder leans on this so enabling a progress
-    /// channel pays for the bound once per environment, not once per
-    /// solve.
+    /// memo). Progress recording leans on this, so a recorder that
+    /// records progress pays for the bound once per environment, not
+    /// once per solve.
     pub fn certified_lower_bound(&self) -> &LowerBound {
         self.bound_memo.get_or_init(|| lower_bound(self))
     }

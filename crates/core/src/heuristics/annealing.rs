@@ -32,44 +32,28 @@ use crate::eval_cache::EvalCache;
 use crate::reconfigure::Reconfigurator;
 use crate::search::{walk, SearchRun};
 
-/// Annealing schedule parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnealingParams {
-    /// Initial temperature as a fraction of the starting design's total
-    /// cost (so the scale adapts to the environment).
-    pub initial_temp_fraction: f64,
-    /// Multiplicative cooling factor applied every
-    /// [`AnnealingParams::steps_per_temp`] proposals.
-    pub cooling: f64,
-    /// Proposals evaluated at each temperature.
-    pub steps_per_temp: usize,
-}
-
-impl Default for AnnealingParams {
-    fn default() -> Self {
-        AnnealingParams { initial_temp_fraction: 0.1, cooling: 0.95, steps_per_temp: 10 }
-    }
-}
+/// Initial temperature as a fraction of the starting design's score (so
+/// the scale adapts to the environment).
+const INITIAL_TEMP_FRACTION: f64 = 0.1;
+/// Multiplicative cooling factor applied every [`STEPS_PER_TEMP`]
+/// proposals.
+const COOLING: f64 = 0.95;
+/// Proposals evaluated at each temperature.
+const STEPS_PER_TEMP: usize = 10;
 
 /// Simulated annealing over reconfiguration moves.
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatedAnnealing<'e> {
     env: &'e Environment,
-    params: AnnealingParams,
     addition_limits: (usize, usize),
     cache: Option<&'e EvalCache>,
 }
 
 impl<'e> SimulatedAnnealing<'e> {
-    /// Creates the annealer with default parameters.
+    /// Creates the annealer.
     #[must_use]
     pub fn new(env: &'e Environment) -> Self {
-        SimulatedAnnealing {
-            env,
-            params: AnnealingParams::default(),
-            addition_limits: (4, 32),
-            cache: None,
-        }
+        SimulatedAnnealing { env, addition_limits: (4, 32), cache: None }
     }
 
     /// Overrides the configuration solver's resource-addition limits
@@ -88,25 +72,6 @@ impl<'e> SimulatedAnnealing<'e> {
     #[must_use]
     pub fn with_cache(mut self, cache: &'e EvalCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Overrides the schedule (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cooling factor is outside `(0, 1)` or the schedule
-    /// is otherwise degenerate.
-    #[must_use]
-    pub fn with_params(mut self, params: AnnealingParams) -> Self {
-        assert!(
-            params.cooling > 0.0 && params.cooling < 1.0,
-            "cooling factor must be in (0,1): {}",
-            params.cooling
-        );
-        assert!(params.steps_per_temp >= 1, "need at least one step per temperature");
-        assert!(params.initial_temp_fraction > 0.0, "initial temperature must be positive");
-        self.params = params;
         self
     }
 
@@ -142,7 +107,7 @@ impl<'e> SimulatedAnnealing<'e> {
             // The first step still sees the start design, whose score
             // sets the initial temperature.
             let temperature = temperature.get_or_insert_with(|| {
-                self.env.score(current.cost()).as_f64() * self.params.initial_temp_fraction
+                self.env.score(current.cost()).as_f64() * INITIAL_TEMP_FRACTION
             });
             let mut proposal = current.clone();
             if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
@@ -174,8 +139,8 @@ impl<'e> SimulatedAnnealing<'e> {
                 }
             }
             step += 1;
-            if step.is_multiple_of(self.params.steps_per_temp) {
-                *temperature *= self.params.cooling;
+            if step.is_multiple_of(STEPS_PER_TEMP) {
+                *temperature *= COOLING;
             }
             true
         })
@@ -285,13 +250,5 @@ mod tests {
         // Second cached run replays completions from the cache.
         assert_eq!(run(None), run(Some(&cache)));
         assert!(cache.stats().hits > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cooling factor")]
-    fn bad_cooling_rejected() {
-        let e = env();
-        let _ = SimulatedAnnealing::new(&e)
-            .with_params(AnnealingParams { cooling: 1.5, ..AnnealingParams::default() });
     }
 }

@@ -17,7 +17,7 @@ mod random;
 mod sampler;
 mod tabu;
 
-pub use annealing::{AnnealingParams, SimulatedAnnealing};
+pub use annealing::SimulatedAnnealing;
 pub use human::HumanHeuristic;
 pub use random::{random_design, RandomHeuristic};
 pub use sampler::{histogram, HistogramBin, RandomSampler, SampleSummary};

@@ -32,16 +32,17 @@ use crate::eval_cache::EvalCache;
 use crate::reconfigure::Reconfigurator;
 use crate::search::{walk, SearchRun};
 
+/// Number of recently reconfigured applications that may not be touched
+/// again (the tabu tenure).
+const TENURE: usize = 3;
+/// Candidate moves evaluated per step; the best non-tabu move is taken
+/// even if it worsens the design (classic tabu behavior).
+const MOVES_PER_STEP: usize = 4;
+
 /// Tabu search over reconfiguration moves.
 #[derive(Debug, Clone, Copy)]
 pub struct TabuSearch<'e> {
     env: &'e Environment,
-    /// Number of recently reconfigured applications that may not be
-    /// touched again (the tabu tenure).
-    tenure: usize,
-    /// Candidate moves evaluated per step; the best non-tabu move is
-    /// taken even if it worsens the design (classic tabu behavior).
-    moves_per_step: usize,
     /// Resource-addition limits forwarded to the configuration solver.
     addition_limits: (usize, usize),
     cache: Option<&'e EvalCache>,
@@ -52,7 +53,7 @@ impl<'e> TabuSearch<'e> {
     /// step.
     #[must_use]
     pub fn new(env: &'e Environment) -> Self {
-        TabuSearch { env, tenure: 3, moves_per_step: 4, addition_limits: (4, 32), cache: None }
+        TabuSearch { env, addition_limits: (4, 32), cache: None }
     }
 
     /// Overrides the configuration solver's resource-addition limits
@@ -70,18 +71,6 @@ impl<'e> TabuSearch<'e> {
     #[must_use]
     pub fn with_cache(mut self, cache: &'e EvalCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Overrides the tabu tenure (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenure` is zero.
-    #[must_use]
-    pub fn with_tenure(mut self, tenure: usize) -> Self {
-        assert!(tenure > 0, "tabu tenure must be positive");
-        self.tenure = tenure;
         self
     }
 
@@ -110,13 +99,13 @@ impl<'e> TabuSearch<'e> {
         progress::phase_entered("tabu");
         let completer = NodeCompleter::new(self.env, self.addition_limits, self.cache);
         let mut reconf = Reconfigurator::default();
-        let mut tabu: VecDeque<AppId> = VecDeque::with_capacity(self.tenure);
+        let mut tabu: VecDeque<AppId> = VecDeque::with_capacity(TENURE);
         walk(run, start, completer, scache, rng, |current, run, scache, rng| {
             // Evaluate a small pool of moves; keep the best whose touched
             // application is not tabu (aspiration: a new global best is
             // always allowed).
             let mut chosen: Option<(Candidate, AppId)> = None;
-            for _ in 0..self.moves_per_step {
+            for _ in 0..MOVES_PER_STEP {
                 let mut proposal = current.clone();
                 if !reconf.reconfigure_with(self.env, &mut proposal, scache, rng) {
                     continue;
@@ -150,7 +139,7 @@ impl<'e> TabuSearch<'e> {
                 );
             }
             tabu.push_back(touched);
-            while tabu.len() > self.tenure {
+            while tabu.len() > TENURE {
                 tabu.pop_front();
             }
             *current = next;
@@ -269,12 +258,5 @@ mod tests {
             assert!(t.is_some());
         }
         assert_eq!(touched_app(&a, &a.clone()), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "tenure")]
-    fn zero_tenure_rejected() {
-        let e = env();
-        let _ = TabuSearch::new(&e).with_tenure(0);
     }
 }

@@ -306,17 +306,14 @@ impl<'e> Portfolio<'e> {
         let results: Mutex<Vec<(ResultKey, SolveOutcome)>> = Mutex::new(Vec::new());
         let (steals, adoptions) = (AtomicU64::new(0), AtomicU64::new(0));
         let recorder = dsd_obs::current();
-        let channel = dsd_obs::progress::current();
 
         std::thread::scope(|scope| {
             for own in 0..self.workers {
                 let (deques, incumbent, results) = (&deques, &incumbent, &results);
                 let (steals, adoptions) = (&steals, &adoptions);
                 let recorder = recorder.clone();
-                let channel = channel.clone();
                 scope.spawn(move || {
                     let _obs_guard = recorder.as_ref().map(dsd_obs::Recorder::install);
-                    let _progress_guard = channel.as_ref().map(dsd_obs::ProgressChannel::install);
                     // The worker frame: per-task spans nest inside it, so
                     // in the folded profile a worker's self time *is* its
                     // idle (fetch/steal/publish) time and its children are

@@ -5,10 +5,10 @@
 //! design so far, and the one piece of state progress events need
 //! beyond raw counters: the relaxation lower bound behind the optimality
 //! certificates, which turns an incumbent cost into a gap percentage.
-//! The bound is fetched once per solve, *only when a channel is actually
-//! listening*, and emission is deterministic arithmetic — no randomness
-//! is consumed, so instrumented and uninstrumented searches stay
-//! bit-identical. Every strategy ends through [`SearchRun::finish`], so
+//! The bound is fetched once per solve, *only when the installed
+//! recorder records progress*, and emission is deterministic arithmetic —
+//! no randomness is consumed, so instrumented and uninstrumented searches
+//! stay bit-identical. Every strategy ends through [`SearchRun::finish`], so
 //! its counters are published and `done` is emitted on every exit path.
 
 use dsd_obs::progress;
@@ -27,8 +27,8 @@ use crate::eval_cache::EvalCache;
 use crate::heuristics::random_design;
 
 /// One solve's budget, counters, best design and progress emission.
-/// Starting one is free when no enabled progress channel is installed on
-/// the current thread.
+/// Starting one is free unless the recorder installed on the current
+/// thread records progress.
 #[derive(Debug)]
 pub(crate) struct SearchRun<'e> {
     env: &'e Environment,
@@ -41,8 +41,8 @@ pub(crate) struct SearchRun<'e> {
 }
 
 impl<'e> SearchRun<'e> {
-    /// Starts the budget, then fetches the certificate lower bound iff a
-    /// progress channel is listening (so gap percentages in incumbent
+    /// Starts the budget, then fetches the certificate lower bound iff
+    /// progress is being recorded (so gap percentages in incumbent
     /// events bit-match a later [`Certificate`] over the same
     /// environment). The bound is memoized on the environment, so
     /// repeated instrumented solves pay for it once.
@@ -94,7 +94,7 @@ impl<'e> SearchRun<'e> {
         if progress::enabled() {
             let evals = self.stats.nodes_evaluated;
             let evals_per_sec = evals as f64 / self.tracker.elapsed().as_secs_f64().max(1e-9);
-            progress::worker_heartbeat(evals, evals_per_sec, self.stats.cache_hit_rate());
+            progress::worker_heartbeat(evals, evals_per_sec);
         }
     }
 

@@ -244,14 +244,14 @@ mod recording {
         assert!(count("greedy.place") > 0, "greedy placements traced");
         assert!(count("refit.move") > 0, "refit moves traced");
         assert!(count("recovery.scenario") > 0, "scenario evaluations traced");
-        assert!(count("solver.improved") > 0, "improvement curve points traced");
+        assert!(count("progress.incumbent") > 0, "improvement curve points traced");
         assert!(count("solver.solve") == 1, "one top-level solve span");
         assert!(
             count("cache.hit") + count("cache.miss") > 0,
             "cache lookups traced when a cache is attached"
         );
         // Improvement points carry the objective-vs-evaluations curve.
-        let improved = events.iter().find(|ev| ev.name == "solver.improved").unwrap();
+        let improved = events.iter().find(|ev| ev.name == "progress.incumbent").unwrap();
         assert!(improved.arg("evals").is_some());
         assert!(improved.arg("cost").is_some());
     }

@@ -1,7 +1,6 @@
-//! Integration tests for the flight recorder: progress events must
-//! describe the search faithfully (ordered, monotone incumbents,
-//! per-worker lanes) and emission must never change what the search
-//! computes.
+//! Integration tests for progress events: they must describe the search
+//! faithfully (ordered, monotone incumbents, per-worker lanes) and
+//! emission must never change what the search computes.
 
 use dsd_core::{
     heuristics::{random_design, HumanHeuristic, RandomHeuristic, SimulatedAnnealing, TabuSearch},
@@ -9,8 +8,8 @@ use dsd_core::{
     ScenarioOutcomeCache,
 };
 use dsd_failure::{FailureModel, FailureRates};
-use dsd_obs::progress::{self, ProgressChannel, ProgressKind};
-use dsd_obs::ProgressEvent;
+use dsd_obs::progress::{self, ProgressKind};
+use dsd_obs::{ProgressEvent, Recorder};
 use dsd_protection::TechniqueCatalog;
 use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
 use dsd_units::Dollars;
@@ -46,7 +45,7 @@ fn incumbent_costs(events: &[ProgressEvent]) -> Vec<f64> {
 }
 
 /// Emission must not perturb the search: same seed, same best design,
-/// with and without an installed progress channel.
+/// with and without a recorder recording progress.
 #[test]
 fn instrumented_solve_is_bit_identical() {
     let e = env(4);
@@ -55,9 +54,9 @@ fn instrumented_solve_is_bit_identical() {
         DesignSolver::new(&e).solve(Budget::iterations(15), &mut rng)
     };
     let bare = solve(77);
-    let channel = ProgressChannel::new();
+    let recorder = Recorder::progress_only();
     let instrumented = {
-        let _g = channel.install();
+        let _g = recorder.install();
         solve(77)
     };
     assert_eq!(
@@ -65,7 +64,7 @@ fn instrumented_solve_is_bit_identical() {
         instrumented.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
     );
     assert_eq!(bare.stats.nodes_evaluated, instrumented.stats.nodes_evaluated);
-    assert!(!channel.poll().is_empty(), "instrumented run emitted events");
+    assert!(!recorder.progress_since(&mut 0).is_empty(), "instrumented run emitted events");
 }
 
 /// The design solver's event stream: phases are entered, incumbents
@@ -75,13 +74,13 @@ fn instrumented_solve_is_bit_identical() {
 #[test]
 fn design_solver_stream_is_ordered_and_certified() {
     let e = env(4);
-    let channel = ProgressChannel::new();
+    let recorder = Recorder::progress_only();
     let outcome = {
-        let _g = channel.install();
+        let _g = recorder.install();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         DesignSolver::new(&e).solve(Budget::iterations(25), &mut rng)
     };
-    let events = channel.poll();
+    let events = recorder.progress_since(&mut 0);
     assert!(events.windows(2).all(|w| w[0].elapsed_ns <= w[1].elapsed_ns), "time-ordered");
 
     let phases: Vec<&str> = events
@@ -122,8 +121,8 @@ fn design_solver_stream_is_ordered_and_certified() {
     }
 }
 
-/// The independent-restart portfolio propagates the channel: events from
-/// every task interleave in one queue under worker lanes, and emission
+/// The independent-restart portfolio propagates the recorder: events
+/// from every task interleave in one store under worker lanes, and emission
 /// keeps the result bit-identical. (Counts are per task, not per worker:
 /// a worker that finishes early may legally steal a task.)
 #[test]
@@ -136,9 +135,9 @@ fn portfolio_workers_interleave_in_one_queue() {
     };
     let bare = solve();
 
-    let channel = ProgressChannel::new();
+    let recorder = Recorder::progress_only();
     let instrumented = {
-        let _g = channel.install();
+        let _g = recorder.install();
         solve()
     };
     assert_eq!(
@@ -148,7 +147,7 @@ fn portfolio_workers_interleave_in_one_queue() {
     );
     assert_eq!(instrumented.tasks, seeds.len() as u64);
 
-    let events = channel.poll();
+    let events = recorder.progress_since(&mut 0);
     // The fan-out parent (lane of the installing thread) emits the
     // portfolio phase marker; workers emit the solver phases.
     assert!(events
@@ -175,8 +174,8 @@ fn portfolio_workers_interleave_in_one_queue() {
     }
 }
 
-/// A disabled channel (and no channel at all) emits nothing, and the
-/// solver result is still bit-identical.
+/// A disabled recorder (and no recorder at all) records nothing, and
+/// the solver result is still bit-identical.
 #[test]
 fn disabled_channel_emits_nothing() {
     let e = env(4);
@@ -185,21 +184,21 @@ fn disabled_channel_emits_nothing() {
         DesignSolver::new(&e).solve(Budget::iterations(10), &mut rng)
     };
     let bare = solve();
-    let channel = ProgressChannel::disabled();
+    let recorder = Recorder::disabled();
     let gated = {
-        let _g = channel.install();
+        let _g = recorder.install();
         assert!(!progress::enabled());
         solve()
     };
-    assert!(channel.poll().is_empty());
-    assert_eq!(channel.dropped(), 0);
+    assert!(recorder.progress_since(&mut 0).is_empty());
+    assert!(recorder.drain_events().is_empty(), "nothing recorded at all");
     assert_eq!(
         bare.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
         gated.best.as_ref().map(|b| b.cost().total().as_f64().to_bits()),
     );
 }
 
-/// All four heuristics emit into the channel with the same contract:
+/// All four heuristics emit progress with the same contract:
 /// a phase marker, monotone incumbents ending at the returned objective,
 /// and a final done event — without perturbing their results. Annealing
 /// and tabu keep it from an adopted start too (the portfolio's path).
@@ -264,9 +263,9 @@ fn heuristics_emit_monotone_incumbents() {
     ];
     for (phase, run) in runners {
         let bare = run(&mut ChaCha8Rng::seed_from_u64(42));
-        let channel = ProgressChannel::new();
+        let recorder = Recorder::progress_only();
         let instrumented = {
-            let _g = channel.install();
+            let _g = recorder.install();
             run(&mut ChaCha8Rng::seed_from_u64(42))
         };
         assert_eq!(
@@ -274,7 +273,7 @@ fn heuristics_emit_monotone_incumbents() {
             instrumented.map(|c| c.as_f64().to_bits()),
             "{phase}: emission must not perturb the search"
         );
-        let events = channel.poll();
+        let events = recorder.progress_since(&mut 0);
         assert!(
             events.iter().any(|e| e.kind == ProgressKind::PhaseEntered { phase: phase.into() }),
             "{phase}: phase marker present"

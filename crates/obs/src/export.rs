@@ -1,4 +1,4 @@
-//! Exporters: JSONL solver traces and Chrome `trace_event` files.
+//! Exporters: JSONL solver traces, their lenient reader, and run diffs.
 //!
 //! The JSONL format is the tool-friendly one — one self-contained JSON
 //! object per line, streamable and greppable:
@@ -7,15 +7,16 @@
 //! {"ts_us":12.5,"dur_us":0,"kind":"instant","name":"greedy.place","cat":"solver","tid":0,"args":{"app":3}}
 //! ```
 //!
-//! The Chrome format is the human-friendly one: load it in
-//! `about:tracing` or <https://ui.perfetto.dev> to see the solver's
-//! stages on a per-thread timeline.
+//! A progress log is the same format holding only the `progress.*`
+//! events ([`crate::progress`]). The human-friendly Chrome `trace_event`
+//! rendering, loadable in `about:tracing` or <https://ui.perfetto.dev>,
+//! is [`crate::profile::chrome_trace_enriched`].
 
 use std::fmt;
 
 use serde::Value;
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 
 /// Export/parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,47 +137,6 @@ pub fn trace_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// Renders events as a Chrome `trace_event` file (the "JSON array
-/// format"), loadable in `about:tracing` and Perfetto.
-#[must_use]
-pub fn chrome_trace(events: &[Event]) -> String {
-    let entries: Vec<Value> = events
-        .iter()
-        .map(|e| {
-            let mut map = vec![
-                ("name".to_string(), Value::Str(e.name.to_string())),
-                ("cat".to_string(), Value::Str(e.cat.to_string())),
-                (
-                    "ph".to_string(),
-                    Value::Str(
-                        match e.kind {
-                            EventKind::Span => "X",
-                            EventKind::Instant => "i",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                ("ts".to_string(), Value::Float(e.start_ns as f64 / 1000.0)),
-                ("pid".to_string(), Value::Int(1)),
-                ("tid".to_string(), Value::Int(i64::try_from(e.thread).unwrap_or(i64::MAX))),
-            ];
-            if e.kind == EventKind::Span {
-                map.insert(4, ("dur".to_string(), Value::Float(e.dur_ns as f64 / 1000.0)));
-            }
-            if !e.args.is_empty() {
-                map.push((
-                    "args".to_string(),
-                    Value::Map(
-                        e.args.iter().map(|(k, v)| ((*k).to_string(), v.to_value())).collect(),
-                    ),
-                ));
-            }
-            Value::Map(map)
-        })
-        .collect();
-    to_compact_json(&Value::Seq(entries))
-}
-
 /// A trace event parsed back from JSONL (names are owned strings, since
 /// they no longer point into the instrumented binary).
 #[derive(Debug, Clone, PartialEq)]
@@ -195,6 +155,24 @@ pub struct TraceRecord {
     pub tid: u64,
     /// Arguments (an empty map when the event had none).
     pub args: Value,
+}
+
+/// The record an in-process event exports as: what [`parse_jsonl`]
+/// reads back from its [`trace_jsonl`] line.
+impl From<&Event> for TraceRecord {
+    fn from(event: &Event) -> Self {
+        TraceRecord {
+            name: event.name.to_string(),
+            cat: event.cat.to_string(),
+            kind: event.kind.as_str().to_string(),
+            ts_us: event.start_ns as f64 / 1000.0,
+            dur_us: event.dur_ns as f64 / 1000.0,
+            tid: event.thread,
+            args: Value::Map(
+                event.args.iter().map(|(k, v)| ((*k).to_string(), v.to_value())).collect(),
+            ),
+        }
+    }
 }
 
 impl TraceRecord {
@@ -320,27 +298,6 @@ pub fn totals_by_name(records: &[TraceRecord]) -> Vec<SpanTotal> {
             .then(b.count.cmp(&a.count))
     });
     totals
-}
-
-/// One point of the objective-vs-evaluations convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Evaluations performed when the improvement was found.
-    pub evals: f64,
-    /// The new best objective value.
-    pub cost: f64,
-}
-
-/// Extracts the objective-vs-evaluation convergence curve from a parsed
-/// trace: every `solver.improved` instant carrying `evals` and `cost`
-/// arguments, in emission order.
-#[must_use]
-pub fn objective_curve(records: &[TraceRecord]) -> Vec<CurvePoint> {
-    records
-        .iter()
-        .filter(|r| r.name == "solver.improved")
-        .filter_map(|r| Some(CurvePoint { evals: r.num_arg("evals")?, cost: r.num_arg("cost")? }))
-        .collect()
 }
 
 /// How one numeric series moved between two exported runs.
@@ -498,7 +455,7 @@ pub fn diff_numeric(a: &Value, b: &Value) -> Vec<DiffEntry> {
         .collect()
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::ArgValue;
@@ -530,6 +487,8 @@ mod tests {
         assert_eq!(parsed.skipped, 0);
         let records = parsed.records;
         assert_eq!(records.len(), 2);
+        let converted: Vec<TraceRecord> = events.iter().map(TraceRecord::from).collect();
+        assert_eq!(records, converted, "an event converts to the record its line parses to");
         let place = records.iter().find(|r| r.name == "greedy.place").expect("place");
         assert_eq!(place.kind, "instant");
         assert_eq!(place.num_arg("app"), Some(3.0));
@@ -537,30 +496,6 @@ mod tests {
         let refit = records.iter().find(|r| r.name == "refit.round").expect("refit");
         assert_eq!(refit.kind, "span");
         assert!(refit.dur_us >= 0.0);
-    }
-
-    #[test]
-    fn objective_curve_extracts_improvements_in_order() {
-        let r = Recorder::new();
-        {
-            let _g = r.install();
-            instant_with(
-                "solver.improved",
-                "solver",
-                vec![("evals", ArgValue::Int(5)), ("cost", ArgValue::Float(90.0))],
-            );
-            instant_with("greedy.place", "solver", vec![("app", ArgValue::Int(0))]);
-            instant_with(
-                "solver.improved",
-                "solver",
-                vec![("evals", ArgValue::Int(12)), ("cost", ArgValue::Float(70.0))],
-            );
-        }
-        let records = parse_jsonl(&trace_jsonl(&r.drain_events())).records;
-        let curve = objective_curve(&records);
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0], CurvePoint { evals: 5.0, cost: 90.0 });
-        assert_eq!(curve[1], CurvePoint { evals: 12.0, cost: 70.0 });
     }
 
     fn map(entries: Vec<(&str, Value)>) -> Value {
@@ -628,22 +563,6 @@ mod tests {
         let text = trace_jsonl(&sample_events());
         for line in text.lines() {
             assert!(serde_json::parse(line).is_ok(), "unparseable line: {line}");
-        }
-    }
-
-    #[test]
-    fn chrome_trace_is_one_json_array_with_phases() {
-        let events = sample_events();
-        let parsed = serde_json::parse(&chrome_trace(&events)).expect("valid JSON");
-        let Value::Seq(items) = parsed else { panic!("expected array") };
-        assert_eq!(items.len(), 2);
-        let phases: Vec<_> =
-            items.iter().map(|e| e.get("ph").cloned().expect("ph present")).collect();
-        assert!(phases.contains(&Value::Str("i".into())));
-        assert!(phases.contains(&Value::Str("X".into())));
-        for item in &items {
-            assert!(item.get("ts").is_some());
-            assert!(item.get("tid").is_some());
         }
     }
 

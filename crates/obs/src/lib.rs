@@ -13,17 +13,18 @@
 //!   gauges, and log-linear [`Histogram`]s (e.g. `solver.eval_latency`,
 //!   `cache.hit_ratio`, `recovery.schedule_len`), snapshotable to JSON;
 //! * **exporters** ([`export`]): a JSONL solver trace (one event per
-//!   greedy placement, refit move, cache hit/miss, scenario batch) and a
-//!   Chrome `trace_event` file loadable in `about:tracing` / Perfetto;
+//!   greedy placement, refit move, cache hit/miss, scenario batch,
+//!   progress event) and its lenient reader;
 //! * a **self-profiler** ([`profile`]): folds the recorded span stream
 //!   into a deterministic, mergeable call-path tree (per-node self and
 //!   total time, call counts) behind `dsd obs profile` / `dsd obs
-//!   flame` and the per-layer shares of `dsd-benchmark trace`;
-//! * a **flight recorder** ([`progress`]): a bounded live channel of
-//!   typed progress events — incumbent improvements with the gap to the
-//!   certificate bound, phase transitions, per-worker heartbeats — that
-//!   a consumer polls while the search runs (status lines, progress
-//!   logs, convergence curves);
+//!   flame`, the per-layer shares of `dsd-benchmark trace`, and the
+//!   Chrome `trace_event` file loadable in `about:tracing` / Perfetto;
+//! * **progress events** ([`progress`]): typed recorder events —
+//!   incumbent improvements with the gap to the certificate bound, phase
+//!   transitions, per-worker heartbeats — that a reader polls while the
+//!   search runs (status lines) or reads back from a progress log or a
+//!   trace (convergence curves);
 //! * the workspace's **monotonic clock** ([`Stopwatch`]): the single
 //!   helper every elapsed-time field is measured with.
 //!
@@ -33,7 +34,6 @@
 //! recorder is installed on the current thread:
 //!
 //! ```
-//! # if cfg!(feature = "off") { return; } // recording compiled away
 //! let recorder = dsd_obs::Recorder::new();
 //! {
 //!     let _guard = recorder.install();
@@ -51,10 +51,9 @@
 //! # Overhead
 //!
 //! With no recorder installed every entry point is one thread-local
-//! check (a < 2% target that no check gates, DESIGN.md §6e); the `off`
-//! cargo feature compiles even that away. Recording never consumes
-//! randomness, so instrumented and uninstrumented searches are
-//! bit-identical.
+//! check (a < 2% target that no check gates, DESIGN.md §6e). Recording
+//! never consumes randomness, so instrumented and uninstrumented searches
+//! are bit-identical.
 
 mod clock;
 mod event;
@@ -71,7 +70,7 @@ pub use metrics::{
     MoveRates,
 };
 pub use profile::{ProfileNode, ProfileRow, ProfileTree, PROFILE_SCHEMA_VERSION};
-pub use progress::{ProgressChannel, ProgressEvent, ProgressGuard, ProgressKind};
+pub use progress::{ProgressEvent, ProgressKind};
 pub use recorder::{
     add, current, enabled, flush, gauge, instant, instant_with, observe, span, InstallGuard,
     Recorder, Span,

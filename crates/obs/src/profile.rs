@@ -22,7 +22,6 @@
 //!   children of every node must fit inside it ([`ProfileTree::verify`]).
 //!
 //! ```
-//! # if cfg!(feature = "off") { return; }
 //! use dsd_obs::{profile::ProfileTree, span, Recorder};
 //! let r = Recorder::new();
 //! {
@@ -494,7 +493,7 @@ pub fn chrome_trace_enriched(records: &[TraceRecord]) -> String {
     crate::export::to_compact_json(&doc)
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::export::parse_jsonl;

@@ -1,48 +1,52 @@
-//! The flight recorder: a live progress channel for long-running solves.
+//! Progress events: how a running search is doing, as recorder events.
 //!
-//! Spans and metrics ([`crate::Recorder`]) answer *where did the time
-//! go* after a run finishes; the [`ProgressChannel`] answers *how is the
-//! search doing right now*. Solvers emit typed [`ProgressEvent`]s —
-//! incumbent improvements (with the gap to the certificate bound),
-//! phase transitions, per-worker heartbeats, restarts, completion — and
-//! a consumer on another thread polls them to drive a status line, a
-//! progress log, or (eventually) a fleet scheduler.
+//! Spans and metrics answer *where did the time go* after a run
+//! finishes; progress events answer *how is the search doing right now*.
+//! Solvers call the emitters below — incumbent improvements (with the
+//! gap to the certificate bound), phase transitions, per-worker
+//! heartbeats, restarts, steals, adoptions, completion — and each becomes
+//! an instant of category [`CATEGORY`] named `progress.<kind>`, recorded
+//! by the installed [`crate::Recorder`] like any other event:
+//!
+//! ```text
+//! {"ts_us":812.4,"dur_us":0.0,"kind":"instant","name":"progress.incumbent","cat":"progress","tid":0,"args":{"cost":120.5,"evals":37,"gap_pct":4.2}}
+//! ```
+//!
+//! An absent `cost` or `gap_pct` is left out of the arguments. The
+//! recorder's thread index is the event's worker lane, so each portfolio
+//! worker is one lane. [`ProgressEvent::decode`] is the one reader: a
+//! live reader polls [`crate::Recorder::progress_since`], and a progress
+//! log or a full trace is read back with [`crate::export::parse_jsonl`].
 //!
 //! The discipline matches the tracing core:
 //!
-//! * with no channel installed, every emission is one thread-local bool
-//!   read (and the `off` cargo feature compiles even that away);
+//! * an emitter builds its event only when the installed recorder
+//!   records progress, so without one emission is one thread-local read
+//!   with no allocation;
 //! * emission never consumes randomness and never mutates solver state,
-//!   so instrumented and uninstrumented searches are bit-identical;
-//! * the queue is bounded: on overflow the *oldest* event is dropped
-//!   (and counted), so the most recent incumbent always survives — a
-//!   truncated flight log still ends at the final answer.
+//!   so instrumented and uninstrumented searches are bit-identical.
 //!
 //! ```
-//! # if cfg!(feature = "off") { return; }
-//! use dsd_obs::progress;
-//! let channel = progress::ProgressChannel::new();
+//! use dsd_obs::{progress, Recorder};
+//! let recorder = Recorder::progress_only();
 //! {
-//!     let _guard = channel.install();
+//!     let _guard = recorder.install();
 //!     progress::phase_entered("greedy");
 //!     progress::incumbent_improved(120.5, Some(4.2), 37);
 //!     progress::done(Some(120.5), Some(4.2), 37);
 //! }
-//! let events = channel.poll();
+//! let events = recorder.progress_since(&mut 0);
 //! assert_eq!(events.len(), 3);
 //! ```
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::clock::Stopwatch;
-use crate::export::{to_compact_json, write_compact};
 use serde::Value;
 
-/// Queued events retained before the oldest are dropped.
-const DEFAULT_CAPACITY: usize = 65_536;
+use crate::event::ArgValue;
+use crate::export::TraceRecord;
+use crate::recorder::{progress_enabled, progress_instant};
+
+/// The event category every progress event is recorded under.
+pub const CATEGORY: &str = "progress";
 
 /// What a [`ProgressEvent`] reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,8 +72,6 @@ pub enum ProgressKind {
         evals: u64,
         /// Evaluation throughput since the worker started.
         evals_per_sec: f64,
-        /// Evaluation-cache hit rate in `[0, 1]` (0 when no cache).
-        cache_hit_rate: f64,
     },
     /// The search restarted from a fresh design.
     Restart {
@@ -102,28 +104,12 @@ pub enum ProgressKind {
     },
 }
 
-impl ProgressKind {
-    /// Short tag used as the `t` field of the JSONL encoding.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ProgressKind::PhaseEntered { .. } => "phase",
-            ProgressKind::IncumbentImproved { .. } => "incumbent",
-            ProgressKind::WorkerHeartbeat { .. } => "heartbeat",
-            ProgressKind::Restart { .. } => "restart",
-            ProgressKind::TaskStolen { .. } => "steal",
-            ProgressKind::IncumbentAdopted { .. } => "adopt",
-            ProgressKind::Done { .. } => "done",
-        }
-    }
-}
-
-/// One typed event on the progress channel.
+/// One progress event: the typed view of a `progress.*` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressEvent {
-    /// Dense worker index (assigned per [`ProgressChannel::install`]).
+    /// Worker lane: the recording thread's index in its recorder.
     pub worker: u64,
-    /// Nanoseconds since the channel was created (monotonic).
+    /// Nanoseconds since the recorder was created (monotonic).
     pub elapsed_ns: u64,
     /// What happened.
     pub kind: ProgressKind,
@@ -135,426 +121,183 @@ impl ProgressEvent {
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed_ns as f64 / 1e9
     }
-}
 
-#[derive(Debug)]
-struct Shared {
-    epoch: Stopwatch,
-    enabled: bool,
-    capacity: usize,
-    queue: Mutex<VecDeque<ProgressEvent>>,
-    dropped: AtomicU64,
-    next_worker: AtomicU64,
-}
-
-/// A bounded multi-producer channel of [`ProgressEvent`]s. Cloning is
-/// cheap (one `Arc`); all clones share the queue, so a consumer thread
-/// can [`ProgressChannel::poll`] while worker threads emit.
-#[derive(Debug, Clone)]
-pub struct ProgressChannel {
-    shared: Arc<Shared>,
-}
-
-impl Default for ProgressChannel {
-    fn default() -> Self {
-        ProgressChannel::new()
-    }
-}
-
-impl ProgressChannel {
-    /// A channel that collects events (default capacity).
+    /// Decodes a `progress.*` record — parsed from JSONL, or converted
+    /// from an in-process event with `TraceRecord::from`. `None` for any
+    /// other record, and for a progress record missing a required
+    /// argument.
     #[must_use]
-    pub fn new() -> Self {
-        ProgressChannel::with_settings(true, DEFAULT_CAPACITY)
-    }
-
-    /// A channel with an explicit queue capacity (≥ 1). On overflow the
-    /// oldest queued event is dropped and counted.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProgressChannel::with_settings(true, capacity.max(1))
-    }
-
-    /// A channel that can be installed but records nothing — the
-    /// baseline for overhead measurements.
-    #[must_use]
-    pub fn disabled() -> Self {
-        ProgressChannel::with_settings(false, 1)
-    }
-
-    fn with_settings(enabled: bool, capacity: usize) -> Self {
-        ProgressChannel {
-            shared: Arc::new(Shared {
-                epoch: Stopwatch::start(),
-                enabled,
-                capacity,
-                queue: Mutex::new(VecDeque::new()),
-                dropped: AtomicU64::new(0),
-                next_worker: AtomicU64::new(0),
-            }),
+    pub fn decode(record: &TraceRecord) -> Option<ProgressEvent> {
+        if record.cat != CATEGORY {
+            return None;
         }
-    }
-
-    /// Whether this channel actually collects events.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.enabled
-    }
-
-    /// Installs this channel as the current thread's progress sink and
-    /// returns a guard; emission stops when the guard drops and the
-    /// previously installed channel, if any, is restored. Each install
-    /// is assigned the next dense worker index, so fan-out workers that
-    /// install their own clone get distinct lanes.
-    #[must_use]
-    pub fn install(&self) -> ProgressGuard {
-        if cfg!(feature = "off") {
-            return ProgressGuard { previous: None, active: false };
-        }
-        let worker = self.shared.next_worker.fetch_add(1, Ordering::Relaxed);
-        let sender = Sender { shared: Arc::clone(&self.shared), worker };
-        let previous = CURRENT.with(|c| c.borrow_mut().replace(sender));
-        ACTIVE.with(|a| a.set(self.shared.enabled));
-        ProgressGuard { previous, active: true }
-    }
-
-    /// Takes every event queued since the last poll, in emission order.
-    /// Safe to call from any thread while producers are still emitting.
-    #[must_use]
-    pub fn poll(&self) -> Vec<ProgressEvent> {
-        let mut queue = self.shared.queue.lock().expect("progress queue poisoned");
-        queue.drain(..).collect()
-    }
-
-    /// Events dropped so far because the queue was full (oldest-first).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    fn push(&self, event: ProgressEvent) {
-        let mut queue = self.shared.queue.lock().expect("progress queue poisoned");
-        if queue.len() >= self.shared.capacity {
-            queue.pop_front();
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        queue.push_back(event);
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Sender {
-    shared: Arc<Shared>,
-    worker: u64,
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<Sender>> = const { RefCell::new(None) };
-    // Fast gate consulted before touching the RefCell: true only while
-    // an *enabled* channel is installed — the same single-bool discipline
-    // as the tracing recorder.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Guard returned by [`ProgressChannel::install`]; restores the previous
-/// channel on drop.
-pub struct ProgressGuard {
-    previous: Option<Sender>,
-    active: bool,
-}
-
-impl Drop for ProgressGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let restored_active = self.previous.as_ref().is_some_and(|s| s.shared.enabled);
-        CURRENT.with(|c| {
-            *c.borrow_mut() = self.previous.take();
-        });
-        ACTIVE.with(|a| a.set(restored_active));
-    }
-}
-
-/// Runs `f` with the current thread's sender, if an enabled channel is
-/// installed — the single "is anyone listening" check.
-fn with_sender<T>(f: impl FnOnce(&Sender) -> T) -> Option<T> {
-    if cfg!(feature = "off") {
-        return None;
-    }
-    if !ACTIVE.with(Cell::get) {
-        return None;
-    }
-    CURRENT.with(|c| {
-        let borrow = c.try_borrow().ok()?;
-        match borrow.as_ref() {
-            Some(sender) if sender.shared.enabled => Some(f(sender)),
+        let num = |key: &str| record.num_arg(key);
+        let count = |key: &str| match record.args.get(key)? {
+            Value::Int(i) => u64::try_from(*i).ok(),
             _ => None,
-        }
-    })
+        };
+        let kind = match record.name.as_str() {
+            "progress.phase" => match record.args.get("phase")? {
+                Value::Str(phase) => ProgressKind::PhaseEntered { phase: phase.clone() },
+                _ => return None,
+            },
+            "progress.incumbent" => ProgressKind::IncumbentImproved {
+                cost: num("cost")?,
+                gap_pct: num("gap_pct"),
+                evals: count("evals")?,
+            },
+            "progress.heartbeat" => ProgressKind::WorkerHeartbeat {
+                evals: count("evals")?,
+                evals_per_sec: num("evals_per_sec")?,
+            },
+            "progress.restart" => ProgressKind::Restart { restarts: count("restarts")? },
+            "progress.steal" => {
+                ProgressKind::TaskStolen { victim: count("victim")?, steals: count("steals")? }
+            }
+            "progress.adopt" => ProgressKind::IncumbentAdopted {
+                cost: num("cost")?,
+                adoptions: count("adoptions")?,
+            },
+            "progress.done" => ProgressKind::Done {
+                cost: num("cost"),
+                gap_pct: num("gap_pct"),
+                evals: count("evals")?,
+            },
+            _ => return None,
+        };
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let elapsed_ns = (record.ts_us * 1000.0).round() as u64;
+        Some(ProgressEvent { worker: record.tid, elapsed_ns, kind })
+    }
 }
 
-/// Whether an enabled progress channel is installed on this thread.
+/// Whether the recorder installed on this thread records progress.
 #[must_use]
 pub fn enabled() -> bool {
-    with_sender(|_| ()).is_some()
+    progress_enabled()
 }
 
-/// The channel currently installed on this thread, if any (enabled or
-/// not). Lets fan-out drivers propagate the caller's channel to worker
-/// threads, exactly like [`crate::current`] for the recorder.
-#[must_use]
-pub fn current() -> Option<ProgressChannel> {
-    if cfg!(feature = "off") {
-        return None;
-    }
-    CURRENT.with(|c| {
-        c.try_borrow()
-            .ok()
-            .and_then(|b| b.as_ref().map(|s| ProgressChannel { shared: Arc::clone(&s.shared) }))
-    })
-}
-
-fn emit(kind: ProgressKind) {
-    with_sender(|sender| {
-        let event = ProgressEvent {
-            worker: sender.worker,
-            elapsed_ns: sender.shared.epoch.elapsed_ns(),
-            kind,
-        };
-        ProgressChannel { shared: Arc::clone(&sender.shared) }.push(event);
-    });
+/// The arguments of an incumbent or `done` event; an absent cost or gap
+/// is left out.
+fn costed(cost: Option<f64>, evals: u64, gap_pct: Option<f64>) -> Vec<(&'static str, ArgValue)> {
+    let mut args = Vec::with_capacity(3);
+    args.extend(cost.map(|c| ("cost", ArgValue::Float(c))));
+    args.push(("evals", evals.into()));
+    args.extend(gap_pct.map(|g| ("gap_pct", ArgValue::Float(g))));
+    args
 }
 
 /// Reports entry into a named solver phase.
 pub fn phase_entered(phase: &str) {
     if enabled() {
-        emit(ProgressKind::PhaseEntered { phase: phase.to_string() });
+        progress_instant("progress.phase", vec![("phase", phase.into())]);
     }
 }
 
 /// Reports a new incumbent design.
 pub fn incumbent_improved(cost: f64, gap_pct: Option<f64>, evals: u64) {
-    emit(ProgressKind::IncumbentImproved { cost, gap_pct, evals });
+    if enabled() {
+        progress_instant("progress.incumbent", costed(Some(cost), evals, gap_pct));
+    }
 }
 
 /// Reports worker liveness and throughput.
-pub fn worker_heartbeat(evals: u64, evals_per_sec: f64, cache_hit_rate: f64) {
-    emit(ProgressKind::WorkerHeartbeat { evals, evals_per_sec, cache_hit_rate });
+pub fn worker_heartbeat(evals: u64, evals_per_sec: f64) {
+    if enabled() {
+        progress_instant(
+            "progress.heartbeat",
+            vec![("evals", evals.into()), ("evals_per_sec", evals_per_sec.into())],
+        );
+    }
 }
 
 /// Reports a restart from a fresh design.
 pub fn restart(restarts: u64) {
-    emit(ProgressKind::Restart { restarts });
+    if enabled() {
+        progress_instant("progress.restart", vec![("restarts", restarts.into())]);
+    }
 }
 
 /// Reports a work-stealing event: this worker took a task queued on
 /// `victim`'s deque.
 pub fn task_stolen(victim: u64, steals: u64) {
-    emit(ProgressKind::TaskStolen { victim, steals });
+    if enabled() {
+        progress_instant(
+            "progress.steal",
+            vec![("victim", victim.into()), ("steals", steals.into())],
+        );
+    }
 }
 
 /// Reports adoption of the shared incumbent as this worker's design.
 pub fn incumbent_adopted(cost: f64, adoptions: u64) {
-    emit(ProgressKind::IncumbentAdopted { cost, adoptions });
+    if enabled() {
+        progress_instant(
+            "progress.adopt",
+            vec![("cost", cost.into()), ("adoptions", adoptions.into())],
+        );
+    }
 }
 
 /// Reports search completion.
 pub fn done(cost: Option<f64>, gap_pct: Option<f64>, evals: u64) {
-    emit(ProgressKind::Done { cost, gap_pct, evals });
-}
-
-fn opt_float(v: Option<f64>) -> Value {
-    v.map_or(Value::Null, Value::Float)
-}
-
-fn int(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-fn event_value(event: &ProgressEvent) -> Value {
-    let mut map = vec![
-        ("t".to_string(), Value::Str(event.kind.tag().to_string())),
-        ("worker".to_string(), int(event.worker)),
-        ("ns".to_string(), int(event.elapsed_ns)),
-    ];
-    match &event.kind {
-        ProgressKind::PhaseEntered { phase } => {
-            map.push(("phase".to_string(), Value::Str(phase.clone())));
-        }
-        ProgressKind::IncumbentImproved { cost, gap_pct, evals } => {
-            map.push(("cost".to_string(), Value::Float(*cost)));
-            map.push(("gap_pct".to_string(), opt_float(*gap_pct)));
-            map.push(("evals".to_string(), int(*evals)));
-        }
-        ProgressKind::WorkerHeartbeat { evals, evals_per_sec, cache_hit_rate } => {
-            map.push(("evals".to_string(), int(*evals)));
-            map.push(("evals_per_sec".to_string(), Value::Float(*evals_per_sec)));
-            map.push(("cache_hit_rate".to_string(), Value::Float(*cache_hit_rate)));
-        }
-        ProgressKind::Restart { restarts } => {
-            map.push(("restarts".to_string(), int(*restarts)));
-        }
-        ProgressKind::TaskStolen { victim, steals } => {
-            map.push(("victim".to_string(), int(*victim)));
-            map.push(("steals".to_string(), int(*steals)));
-        }
-        ProgressKind::IncumbentAdopted { cost, adoptions } => {
-            map.push(("cost".to_string(), Value::Float(*cost)));
-            map.push(("adoptions".to_string(), int(*adoptions)));
-        }
-        ProgressKind::Done { cost, gap_pct, evals } => {
-            map.push(("cost".to_string(), opt_float(*cost)));
-            map.push(("gap_pct".to_string(), opt_float(*gap_pct)));
-            map.push(("evals".to_string(), int(*evals)));
-        }
-    }
-    Value::Map(map)
-}
-
-/// Renders progress events as JSONL — one compact object per line, in
-/// emission order. Floats use Rust's shortest round-trip formatting, so
-/// a parsed-back `cost` is bit-identical to the emitted one.
-#[must_use]
-pub fn progress_jsonl(events: &[ProgressEvent]) -> String {
-    let mut out = String::new();
-    for event in events {
-        write_compact(&event_value(event), &mut out);
-        out.push('\n');
-    }
-    out
-}
-
-/// One progress event as a compact JSON line (no trailing newline) —
-/// for streaming appends to an open log.
-#[must_use]
-pub fn progress_line(event: &ProgressEvent) -> String {
-    to_compact_json(&event_value(event))
-}
-
-/// Result of leniently parsing a progress log: everything that parsed,
-/// plus a count of lines that did not (truncated tails, corruption).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedProgress {
-    /// Events in file order.
-    pub events: Vec<ProgressEvent>,
-    /// Non-blank lines skipped because they did not parse.
-    pub skipped: u64,
-    /// Description of the first skipped line, for diagnostics.
-    pub first_error: Option<String>,
-}
-
-fn num(map: &Value, key: &str) -> Option<f64> {
-    match map.get(key)? {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
+    if enabled() {
+        progress_instant("progress.done", costed(cost, evals, gap_pct));
     }
 }
 
-fn opt_num(map: &Value, key: &str) -> Option<f64> {
-    match map.get(key) {
-        Some(Value::Float(f)) => Some(*f),
-        Some(Value::Int(i)) => Some(*i as f64),
-        _ => None,
-    }
-}
-
-fn parse_event(value: &Value) -> Option<ProgressEvent> {
-    let Value::Str(tag) = value.get("t")? else { return None };
-    let worker = num(value, "worker")? as u64;
-    let elapsed_ns = num(value, "ns")? as u64;
-    let kind = match tag.as_str() {
-        "phase" => match value.get("phase")? {
-            Value::Str(phase) => ProgressKind::PhaseEntered { phase: phase.clone() },
-            _ => return None,
-        },
-        "incumbent" => ProgressKind::IncumbentImproved {
-            cost: num(value, "cost")?,
-            gap_pct: opt_num(value, "gap_pct"),
-            evals: num(value, "evals")? as u64,
-        },
-        "heartbeat" => ProgressKind::WorkerHeartbeat {
-            evals: num(value, "evals")? as u64,
-            evals_per_sec: num(value, "evals_per_sec")?,
-            cache_hit_rate: num(value, "cache_hit_rate")?,
-        },
-        "restart" => ProgressKind::Restart { restarts: num(value, "restarts")? as u64 },
-        "steal" => ProgressKind::TaskStolen {
-            victim: num(value, "victim")? as u64,
-            steals: num(value, "steals")? as u64,
-        },
-        "adopt" => ProgressKind::IncumbentAdopted {
-            cost: num(value, "cost")?,
-            adoptions: num(value, "adoptions")? as u64,
-        },
-        "done" => ProgressKind::Done {
-            cost: opt_num(value, "cost"),
-            gap_pct: opt_num(value, "gap_pct"),
-            evals: num(value, "evals")? as u64,
-        },
-        _ => return None,
-    };
-    Some(ProgressEvent { worker, elapsed_ns, kind })
-}
-
-/// Parses a progress log produced by [`progress_jsonl`]. Lenient by
-/// design: a malformed or truncated line (a killed run's torn tail) is
-/// counted and skipped, never fatal — the same contract as
-/// [`crate::export::parse_jsonl`].
-#[must_use]
-pub fn parse_progress_jsonl(text: &str) -> ParsedProgress {
-    let mut parsed = ParsedProgress::default();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = serde_json::parse(line).ok().as_ref().and_then(parse_event);
-        match event {
-            Some(event) => parsed.events.push(event),
-            None => {
-                parsed.skipped += 1;
-                if parsed.first_error.is_none() {
-                    parsed.first_error =
-                        Some(format!("line {}: unparseable progress event", i + 1));
-                }
-            }
-        }
-    }
-    parsed
-}
-
-// Emission is compiled away under the `off` feature, so these tests only
-// make sense without it.
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::{parse_jsonl, trace_jsonl};
+    use crate::Recorder;
+
+    /// Every progress event `recorder` holds, drained and decoded.
+    fn drained(recorder: &Recorder) -> Vec<ProgressEvent> {
+        recorder
+            .drain_events()
+            .iter()
+            .filter_map(|e| ProgressEvent::decode(&TraceRecord::from(e)))
+            .collect()
+    }
 
     #[test]
     fn nothing_emitted_without_install() {
         incumbent_improved(1.0, None, 1);
-        worker_heartbeat(1, 1.0, 0.0);
+        worker_heartbeat(1, 1.0);
         assert!(!enabled());
-        assert!(current().is_none());
-        let c = ProgressChannel::new();
-        assert!(c.poll().is_empty());
+        assert!(crate::current().is_none());
+        let r = Recorder::new();
+        assert!(r.progress_since(&mut 0).is_empty());
     }
 
     #[test]
     fn install_emits_typed_events_in_order() {
-        let c = ProgressChannel::new();
+        let r = Recorder::new();
         {
-            let _g = c.install();
+            let _g = r.install();
             assert!(enabled());
             phase_entered("greedy");
             incumbent_improved(90.0, Some(12.5), 7);
             restart(1);
-            worker_heartbeat(10, 1000.0, 0.25);
+            worker_heartbeat(10, 1000.0);
             done(Some(90.0), Some(12.5), 10);
         }
-        let events = c.poll();
-        let tags: Vec<&str> = events.iter().map(|e| e.kind.tag()).collect();
-        assert_eq!(tags, vec!["phase", "incumbent", "restart", "heartbeat", "done"]);
+        let recorded = r.drain_events();
+        let names: Vec<&str> = recorded.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            vec![
+                "progress.phase",
+                "progress.incumbent",
+                "progress.restart",
+                "progress.heartbeat",
+                "progress.done"
+            ]
+        );
+        let events: Vec<ProgressEvent> =
+            recorded.iter().filter_map(|e| ProgressEvent::decode(&TraceRecord::from(e))).collect();
+        assert_eq!(events.len(), 5, "every event decodes");
         assert!(events.windows(2).all(|w| w[0].elapsed_ns <= w[1].elapsed_ns));
         assert!(events.iter().all(|e| e.worker == 0));
         assert_eq!(
@@ -565,40 +308,20 @@ mod tests {
 
     #[test]
     fn disabled_channel_emits_nothing() {
-        let c = ProgressChannel::disabled();
+        let r = Recorder::disabled();
         {
-            let _g = c.install();
+            let _g = r.install();
             assert!(!enabled());
-            assert!(current().is_some(), "still propagatable");
+            assert!(crate::current().is_some(), "still propagatable");
             incumbent_improved(1.0, None, 1);
         }
-        assert!(c.poll().is_empty());
-        assert_eq!(c.dropped(), 0);
-    }
-
-    #[test]
-    fn overflow_drops_oldest_and_counts() {
-        let c = ProgressChannel::with_capacity(3);
-        let _g = c.install();
-        for i in 0..5u64 {
-            restart(i);
-        }
-        incumbent_improved(42.0, None, 5);
-        let events = c.poll();
-        assert_eq!(events.len(), 3);
-        assert_eq!(c.dropped(), 3);
-        // The newest events survive — including the final incumbent.
-        assert_eq!(events[0].kind, ProgressKind::Restart { restarts: 3 });
-        assert_eq!(
-            events[2].kind,
-            ProgressKind::IncumbentImproved { cost: 42.0, gap_pct: None, evals: 5 }
-        );
+        assert!(r.drain_events().is_empty());
     }
 
     #[test]
     fn nested_install_restores_previous() {
-        let outer = ProgressChannel::new();
-        let inner = ProgressChannel::new();
+        let outer = Recorder::progress_only();
+        let inner = Recorder::progress_only();
         let _og = outer.install();
         restart(1);
         {
@@ -606,102 +329,126 @@ mod tests {
             restart(2);
         }
         restart(3);
-        let outer_events = outer.poll();
-        assert_eq!(outer_events.len(), 2);
-        assert_eq!(inner.poll().len(), 1);
+        assert_eq!(outer.progress_since(&mut 0).len(), 2);
+        assert_eq!(inner.progress_since(&mut 0).len(), 1);
     }
 
     #[test]
     fn workers_get_distinct_lanes() {
-        let c = ProgressChannel::new();
+        let r = Recorder::progress_only();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let c = c.clone();
+                let r = r.clone();
                 scope.spawn(move || {
-                    let _g = c.install();
-                    worker_heartbeat(1, 1.0, 0.0);
+                    let _g = r.install();
+                    worker_heartbeat(1, 1.0);
                 });
             }
         });
-        let workers: std::collections::BTreeSet<u64> = c.poll().iter().map(|e| e.worker).collect();
+        let workers: std::collections::BTreeSet<u64> =
+            r.progress_since(&mut 0).iter().map(|e| e.worker).collect();
         assert_eq!(workers.len(), 4, "each install gets its own worker index");
     }
 
     #[test]
     fn poll_while_producing_sees_everything_once() {
-        let c = ProgressChannel::new();
-        let _g = c.install();
+        let r = Recorder::new();
+        let _g = r.install();
+        let mut cursor = 0;
+        crate::instant("place", "solver");
         restart(1);
-        let first = c.poll();
+        let first = r.progress_since(&mut cursor);
         restart(2);
-        let second = c.poll();
-        assert_eq!(first.len(), 1);
+        let second = r.progress_since(&mut cursor);
+        assert_eq!(first.len(), 1, "seen before the guard drops; the trace instant filtered out");
+        assert_eq!(first[0].kind, ProgressKind::Restart { restarts: 1 });
         assert_eq!(second.len(), 1);
-        assert!(c.poll().is_empty());
+        assert!(r.progress_since(&mut cursor).is_empty());
+        assert_eq!(r.progress_since(&mut 0).len(), 2, "reading drains nothing");
     }
 
     #[test]
     fn steal_and_adopt_events_carry_cooperation_counts() {
-        let c = ProgressChannel::new();
+        let r = Recorder::progress_only();
         {
-            let _g = c.install();
+            let _g = r.install();
             task_stolen(3, 1);
             incumbent_adopted(250.5, 2);
         }
-        let events = c.poll();
-        let tags: Vec<&str> = events.iter().map(|e| e.kind.tag()).collect();
-        assert_eq!(tags, vec!["steal", "adopt"]);
+        let events = drained(&r);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, ProgressKind::TaskStolen { victim: 3, steals: 1 });
         assert_eq!(events[1].kind, ProgressKind::IncumbentAdopted { cost: 250.5, adoptions: 2 });
     }
 
     #[test]
     fn jsonl_roundtrips_bit_exactly() {
-        let c = ProgressChannel::new();
+        let r = Recorder::progress_only();
         {
-            let _g = c.install();
+            let _g = r.install();
             phase_entered("refit");
             incumbent_improved(123.456_789_012_345, Some(3.75), 42);
-            worker_heartbeat(100, 98_765.432_1, 0.875);
+            worker_heartbeat(100, 98_765.432_1);
             restart(2);
             task_stolen(1, 4);
             incumbent_adopted(99.000_000_000_25, 3);
             done(None, None, 100);
         }
-        let events = c.poll();
-        let text = progress_jsonl(&events);
+        let events = r.drain_events();
+        let text = trace_jsonl(&events);
         assert_eq!(text.lines().count(), 7);
-        let parsed = parse_progress_jsonl(&text);
+        let parsed = parse_jsonl(&text);
         assert_eq!(parsed.skipped, 0);
-        assert_eq!(parsed.events, events, "floats round-trip bit-exactly");
+        let decoded: Vec<ProgressEvent> =
+            parsed.records.iter().filter_map(ProgressEvent::decode).collect();
+        let in_process: Vec<ProgressEvent> =
+            events.iter().filter_map(|e| ProgressEvent::decode(&TraceRecord::from(e))).collect();
+        assert_eq!(decoded.len(), 7);
+        assert_eq!(decoded, in_process, "floats round-trip bit-exactly");
     }
 
     #[test]
     fn parse_skips_torn_tail_lines() {
-        let c = ProgressChannel::new();
+        let r = Recorder::progress_only();
         {
-            let _g = c.install();
+            let _g = r.install();
             incumbent_improved(50.0, Some(1.0), 9);
         }
-        let mut text = progress_jsonl(&c.poll());
-        text.push_str("{\"t\":\"incumbent\",\"worker\":0,\"ns\":12,\"cos"); // torn mid-write
-        let parsed = parse_progress_jsonl(&text);
-        assert_eq!(parsed.events.len(), 1);
+        let mut text = trace_jsonl(&r.drain_events());
+        text.push_str(
+            "{\"ts_us\":1.0,\"dur_us\":0.0,\"kind\":\"instant\",\"name\":\"progress.incu",
+        ); // torn mid-write
+        let parsed = parse_jsonl(&text);
+        let events: Vec<ProgressEvent> =
+            parsed.records.iter().filter_map(ProgressEvent::decode).collect();
+        assert_eq!(events.len(), 1);
         assert_eq!(parsed.skipped, 1);
         assert!(parsed.first_error.is_some());
-        assert!(parse_progress_jsonl("\n\n").events.is_empty());
-        assert_eq!(parse_progress_jsonl("{\"t\":\"wat\",\"worker\":0,\"ns\":0}").skipped, 1);
     }
 
     #[test]
-    fn progress_line_matches_jsonl() {
-        let event = ProgressEvent {
-            worker: 1,
-            elapsed_ns: 500,
-            kind: ProgressKind::PhaseEntered { phase: "greedy".into() },
+    fn a_record_missing_a_required_argument_decodes_to_nothing() {
+        let record = |name: &str, args: Vec<(&str, Value)>| TraceRecord {
+            name: name.to_string(),
+            cat: CATEGORY.to_string(),
+            kind: "instant".to_string(),
+            ts_us: 1.0,
+            dur_us: 0.0,
+            tid: 0,
+            args: Value::Map(args.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
         };
-        let line = progress_line(&event);
-        assert!(!line.contains('\n'));
-        assert_eq!(progress_jsonl(std::slice::from_ref(&event)), format!("{line}\n"));
+        let decode = |name, args| ProgressEvent::decode(&record(name, args));
+        let full = vec![("cost", Value::Float(5.0)), ("evals", Value::Int(3))];
+        assert!(decode("progress.incumbent", full.clone()).is_some());
+        assert!(decode("progress.incumbent", vec![("evals", Value::Int(3))]).is_none());
+        assert!(decode("progress.incumbent", vec![("cost", Value::Float(5.0))]).is_none());
+        assert!(decode("progress.heartbeat", vec![("evals", Value::Int(3))]).is_none());
+        assert!(decode("progress.steal", vec![("victim", Value::Int(1))]).is_none());
+        assert!(decode("progress.phase", vec![("phase", Value::Int(1))]).is_none());
+        assert!(decode("progress.done", Vec::new()).is_none());
+        assert!(decode("progress.wat", full.clone()).is_none(), "unknown name");
+        let mut other = record("progress.incumbent", full);
+        other.cat = "solver".to_string();
+        assert!(ProgressEvent::decode(&other).is_none(), "other category");
     }
 }

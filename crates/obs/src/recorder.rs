@@ -1,16 +1,21 @@
-//! The recorder: a thread-installable sink for trace events and metrics.
+//! The recorder: a thread-installable sink for trace events, metrics and
+//! progress events.
 //!
 //! Instrumented code never receives a recorder handle; it calls the free
 //! functions in this module ([`span`], [`instant`], [`add`], [`observe`],
-//! …), which consult a thread-local *current recorder*. When none is
-//! installed every call is a branch on a thread-local `Option` — cheap
-//! enough to leave instrumentation unconditionally compiled in (and the
-//! `off` cargo feature removes even that branch).
+//! …) and the emitters in [`crate::progress`], which consult a
+//! thread-local *current recorder*. A recorder records up to two
+//! streams: the trace (spans, instants and metrics) and progress events
+//! (instants of category [`crate::progress::CATEGORY`]). Each call first
+//! reads one thread-local byte holding the installed recorder's stream
+//! bits — cheap enough to leave instrumentation unconditionally compiled
+//! in.
 //!
 //! Recording is designed to stay off the contended path:
 //!
 //! * events are pushed into a per-thread buffer and drained into the
-//!   shared store only when the buffer fills or the install guard drops;
+//!   shared store when the buffer fills, the install guard drops, or a
+//!   progress event is recorded (so a live reader sees it at once);
 //! * counters and gauges are `Arc`-shared atomics, cached per thread
 //!   after the first registry lookup;
 //! * histogram observations accumulate in per-thread [`Histogram`]s and
@@ -27,22 +32,29 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::event::{ArgValue, Event, EventKind};
+use crate::export::TraceRecord;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
+use crate::progress::{self, ProgressEvent};
 
 /// Events buffered per thread before draining into the shared store.
 const FLUSH_THRESHOLD: usize = 1024;
 
+/// Stream bit: spans, trace instants and metrics.
+const TRACE: u8 = 1;
+/// Stream bit: progress events.
+const PROGRESS: u8 = 2;
+
 #[derive(Debug)]
 struct Shared {
     epoch: Instant,
-    enabled: bool,
+    streams: u8,
     events: Mutex<Vec<Event>>,
     metrics: MetricsRegistry,
     next_thread: AtomicU64,
 }
 
-/// A handle to a trace/metrics sink. Cloning is cheap (one `Arc`); all
-/// clones share the same event store and registry.
+/// A handle to a trace/metrics/progress sink. Cloning is cheap (one
+/// `Arc`); all clones share the same event store and registry.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     shared: Arc<Shared>,
@@ -55,10 +67,18 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder that collects everything.
+    /// A recorder that collects everything: trace, metrics and progress.
     #[must_use]
     pub fn new() -> Self {
-        Recorder::with_enabled(true)
+        Recorder::with_streams(TRACE | PROGRESS)
+    }
+
+    /// A recorder that collects progress events only — what a live
+    /// status line or a progress log needs, without paying for spans and
+    /// metrics.
+    #[must_use]
+    pub fn progress_only() -> Self {
+        Recorder::with_streams(PROGRESS)
     }
 
     /// A recorder that can be installed but records nothing — the
@@ -66,25 +86,19 @@ impl Recorder {
     /// their thread-local check and then bail.
     #[must_use]
     pub fn disabled() -> Self {
-        Recorder::with_enabled(false)
+        Recorder::with_streams(0)
     }
 
-    fn with_enabled(enabled: bool) -> Self {
+    fn with_streams(streams: u8) -> Self {
         Recorder {
             shared: Arc::new(Shared {
                 epoch: Instant::now(),
-                enabled,
+                streams,
                 events: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(),
                 next_thread: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Whether this recorder actually collects data.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.enabled
     }
 
     /// Installs this recorder as the current thread's sink and returns a
@@ -93,12 +107,10 @@ impl Recorder {
     ///
     /// Worker threads each call `install` on their own clone — buffers
     /// are per-thread, so workers never contend on the event store until
-    /// flush.
+    /// flush. Each install gets the next dense thread index, so fan-out
+    /// workers record on distinct lanes.
     #[must_use]
     pub fn install(&self) -> InstallGuard {
-        if cfg!(feature = "off") {
-            return InstallGuard { previous: None, active: false };
-        }
         let thread = self.shared.next_thread.fetch_add(1, Ordering::Relaxed);
         let ctx = ThreadCtx {
             shared: Arc::clone(&self.shared),
@@ -109,8 +121,8 @@ impl Recorder {
             histograms: HashMap::new(),
         };
         let previous = CURRENT.with(|c| c.borrow_mut().replace(ctx));
-        ACTIVE.with(|a| a.set(self.shared.enabled));
-        InstallGuard { previous, active: true }
+        ACTIVE.with(|a| a.set(self.shared.streams));
+        InstallGuard { previous }
     }
 
     /// Takes every event recorded so far (sorted by start time). Call
@@ -122,6 +134,23 @@ impl Recorder {
             std::mem::take(&mut *self.shared.events.lock().expect("event store poisoned"));
         events.sort_by_key(|e| e.start_ns);
         events
+    }
+
+    /// The progress events recorded since `cursor` (start it at 0), in
+    /// store order, without draining anything; advances `cursor` past
+    /// them. Safe to call from any thread while producers record: every
+    /// progress event is flushed as it is recorded. The filter runs under
+    /// the store lock, so reading beside a full trace copies only the
+    /// progress events.
+    #[must_use]
+    pub fn progress_since(&self, cursor: &mut usize) -> Vec<ProgressEvent> {
+        let records: Vec<TraceRecord> = {
+            let store = self.shared.events.lock().expect("event store poisoned");
+            let fresh = store.get(*cursor..).unwrap_or_default();
+            *cursor = store.len();
+            fresh.iter().filter(|e| e.cat == progress::CATEGORY).map(TraceRecord::from).collect()
+        };
+        records.iter().filter_map(ProgressEvent::decode).collect()
     }
 
     /// A snapshot of the metrics registry. Call after the install guards
@@ -151,6 +180,17 @@ struct ThreadCtx {
 impl ThreadCtx {
     fn now_ns(&self) -> u64 {
         u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    fn push_instant(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
+        let start_ns = self.now_ns();
+        let thread = self.thread;
+        self.push(Event { name, cat, kind: EventKind::Instant, start_ns, dur_ns: 0, thread, args });
     }
 
     fn push(&mut self, event: Event) {
@@ -184,69 +224,71 @@ impl Drop for ThreadCtx {
 
 thread_local! {
     static CURRENT: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
-    // Fast gate consulted before touching the RefCell: true only while an
-    // *enabled* recorder is installed. Keeps the disabled/absent path to a
-    // single thread-local bool read — the overhead bound the solver relies
-    // on when tracing flags are absent.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    // Fast gate consulted before touching the RefCell: the stream bits of
+    // the installed recorder (0 when none is). Keeps the disabled/absent
+    // path to a single thread-local byte read — the overhead bound the
+    // solver relies on when observability flags are absent.
+    static ACTIVE: Cell<u8> = const { Cell::new(0) };
 }
 
 /// Guard returned by [`Recorder::install`]; restores the previous
 /// recorder (and flushes this thread's buffers) on drop.
 pub struct InstallGuard {
     previous: Option<ThreadCtx>,
-    active: bool,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let restored_active = self.previous.as_ref().is_some_and(|ctx| ctx.shared.enabled);
+        let restored = self.previous.as_ref().map_or(0, |ctx| ctx.shared.streams);
         CURRENT.with(|c| {
             // Dropping the replaced ctx flushes its buffers.
             *c.borrow_mut() = self.previous.take();
         });
-        ACTIVE.with(|a| a.set(restored_active));
+        ACTIVE.with(|a| a.set(restored));
     }
 }
 
-/// Runs `f` with the current thread context, if one is installed and
-/// enabled. The single place the "is anyone listening" check happens.
-fn with_ctx<T>(f: impl FnOnce(&mut ThreadCtx) -> T) -> Option<T> {
-    if cfg!(feature = "off") {
-        return None;
-    }
-    if !ACTIVE.with(Cell::get) {
+/// Runs `f` with the current thread context, if the installed recorder
+/// records `stream`. The single place the "is anyone listening" check
+/// happens.
+fn with_ctx<T>(stream: u8, f: impl FnOnce(&mut ThreadCtx) -> T) -> Option<T> {
+    if ACTIVE.with(Cell::get) & stream == 0 {
         return None;
     }
     CURRENT.with(|c| {
-        let mut borrow = match c.try_borrow_mut() {
-            Ok(b) => b,
-            Err(_) => return None, // re-entrant call from a Drop; skip
-        };
-        match borrow.as_mut() {
-            Some(ctx) if ctx.shared.enabled => Some(f(ctx)),
-            _ => None,
-        }
+        // A failed borrow is a re-entrant call from a Drop; skip it.
+        let mut borrow = c.try_borrow_mut().ok()?;
+        borrow.as_mut().map(f)
     })
 }
 
-/// Whether an enabled recorder is installed on this thread.
+/// Whether a recorder that records the trace (spans, instants and
+/// metrics) is installed on this thread.
 #[must_use]
 pub fn enabled() -> bool {
-    with_ctx(|_| ()).is_some()
+    ACTIVE.with(Cell::get) & TRACE != 0
 }
 
-/// The recorder currently installed on this thread, if any (enabled or
-/// not). Lets fan-out drivers propagate the caller's recorder to worker
-/// threads.
+/// Whether a recorder that records progress events is installed on this
+/// thread.
+pub(crate) fn progress_enabled() -> bool {
+    ACTIVE.with(Cell::get) & PROGRESS != 0
+}
+
+/// Records a progress instant and flushes this thread's buffer, so a
+/// [`Recorder::progress_since`] reader sees it at once.
+pub(crate) fn progress_instant(name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+    with_ctx(PROGRESS, |ctx| {
+        ctx.push_instant(name, progress::CATEGORY, args);
+        ctx.flush_events();
+    });
+}
+
+/// The recorder currently installed on this thread, if any (whatever it
+/// records). Lets fan-out drivers propagate the caller's recorder to
+/// worker threads.
 #[must_use]
 pub fn current() -> Option<Recorder> {
-    if cfg!(feature = "off") {
-        return None;
-    }
     CURRENT.with(|c| {
         c.try_borrow()
             .ok()
@@ -261,15 +303,12 @@ pub fn instant(name: &'static str, cat: &'static str) {
 
 /// Records an instant event with arguments.
 pub fn instant_with(name: &'static str, cat: &'static str, args: Vec<(&'static str, ArgValue)>) {
-    with_ctx(|ctx| {
-        let start_ns = ctx.now_ns();
-        let thread = ctx.thread;
-        ctx.push(Event { name, cat, kind: EventKind::Instant, start_ns, dur_ns: 0, thread, args });
-    });
+    with_ctx(TRACE, |ctx| ctx.push_instant(name, cat, args));
 }
 
 /// Opens a span; the event is recorded (with its measured duration) when
-/// the returned guard drops. Inert when no enabled recorder is installed.
+/// the returned guard drops. Inert unless the installed recorder records
+/// the trace.
 #[must_use]
 pub fn span(name: &'static str, cat: &'static str) -> Span {
     let started = enabled().then(Instant::now);
@@ -299,7 +338,7 @@ impl Drop for Span {
         let Some(started) = self.started else { return };
         let args = std::mem::take(&mut self.args);
         let (name, cat) = (self.name, self.cat);
-        with_ctx(|ctx| {
+        with_ctx(TRACE, |ctx| {
             let end_ns = ctx.now_ns();
             let dur_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let thread = ctx.thread;
@@ -318,7 +357,7 @@ impl Drop for Span {
 
 /// Adds `delta` to the named counter.
 pub fn add(name: &'static str, delta: u64) {
-    with_ctx(|ctx| {
+    with_ctx(TRACE, |ctx| {
         let cell = match ctx.counters.get(name) {
             Some(c) => Arc::clone(c),
             None => {
@@ -333,7 +372,7 @@ pub fn add(name: &'static str, delta: u64) {
 
 /// Sets the named gauge.
 pub fn gauge(name: &'static str, value: f64) {
-    with_ctx(|ctx| {
+    with_ctx(TRACE, |ctx| {
         let cell = match ctx.gauges.get(name) {
             Some(g) => Arc::clone(g),
             None => {
@@ -349,7 +388,7 @@ pub fn gauge(name: &'static str, value: f64) {
 /// Records an observation into the named histogram (buffered per
 /// thread; merged into the registry on flush).
 pub fn observe(name: &'static str, value: f64) {
-    with_ctx(|ctx| {
+    with_ctx(TRACE, |ctx| {
         ctx.histograms.entry(name).or_default().observe(value);
     });
 }
@@ -358,12 +397,10 @@ pub fn observe(name: &'static str, value: f64) {
 /// store without uninstalling. Useful before taking a snapshot while a
 /// guard is still alive.
 pub fn flush() {
-    with_ctx(ThreadCtx::flush);
+    with_ctx(TRACE | PROGRESS, ThreadCtx::flush);
 }
 
-// Recording is compiled away under the `off` feature, so these tests
-// only make sense without it.
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -489,5 +526,27 @@ mod tests {
         flush();
         assert_eq!(r.metrics_snapshot().histogram("h").expect("h").count, 1);
         assert_eq!(r.drain_events().len(), 1);
+    }
+
+    #[test]
+    fn progress_only_records_no_span_instant_or_metric() {
+        let r = Recorder::progress_only();
+        {
+            let _g = r.install();
+            assert!(!enabled());
+            assert!(progress::enabled());
+            {
+                let mut s = span("solve", "solver");
+                s.arg("budget", 3u64);
+            }
+            instant("place", "solver");
+            add("c", 1);
+            gauge("g", 1.0);
+            observe("h", 1.0);
+            progress::restart(1);
+        }
+        let names: Vec<_> = r.drain_events().iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["progress.restart"]);
+        assert_eq!(r.metrics_snapshot().series_count(), 0);
     }
 }

@@ -18,9 +18,6 @@ fn exact_value(i: usize) -> f64 {
 
 #[test]
 fn parallel_counter_increments_are_never_lost() {
-    if cfg!(feature = "off") {
-        return; // recording compiled away
-    }
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
     let recorder = Recorder::new();
@@ -51,9 +48,6 @@ fn parallel_counter_increments_are_never_lost() {
 
 #[test]
 fn threaded_histogram_observations_merge_losslessly() {
-    if cfg!(feature = "off") {
-        return;
-    }
     const THREADS: usize = 6;
     // Above the recorder's flush threshold, so mid-run flushes interleave
     // with other threads' merges rather than everything arriving at drop.

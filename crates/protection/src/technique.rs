@@ -137,11 +137,13 @@ pub struct TechniqueConfig {
 }
 
 impl TechniqueConfig {
-    /// Returns true if both windows are positive and snapshot ≤ backup.
+    /// Returns true if both windows are positive and finite and
+    /// snapshot ≤ backup.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        !self.snapshot_interval.is_zero()
-            && !self.backup_cycle.is_zero()
+        let window = |t: TimeSpan| t.as_secs() > 0.0 && t.as_secs().is_finite();
+        window(self.snapshot_interval)
+            && window(self.backup_cycle)
             && self.snapshot_interval <= self.backup_cycle
     }
 }
@@ -573,6 +575,10 @@ mod tests {
             backup_cycle: TimeSpan::from_days(7.0),
         };
         assert!(!bad.is_valid());
+        for window in [TimeSpan::ZERO, TimeSpan::INFINITE] {
+            let config = TechniqueConfig { snapshot_interval: window, backup_cycle: window };
+            assert!(!config.is_valid(), "{window}");
+        }
     }
 
     #[test]
