@@ -349,7 +349,7 @@ pub fn cmd_analyze_trace(trace_text: &str) -> Result<String, Box<dyn Error>> {
 
 /// Parses a JSONL trace (or progress log) leniently, rejecting non-blank
 /// input from which nothing parses — the one reader behind `dsd obs
-/// summary`, `profile`, `flame` and `curve`.
+/// profile`, `flame` and `curve`.
 ///
 /// # Errors
 ///
@@ -361,115 +361,6 @@ pub(crate) fn parse_trace(text: &str) -> Result<dsd_obs::export::ParsedTrace, St
         return Err(format!("not a JSONL trace ({detail})"));
     }
     Ok(parsed)
-}
-
-/// `dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]` — digest a
-/// recorded solver trace: top-`top` events by cumulative time, the
-/// global incumbent curve from `progress.incumbent` events, and
-/// (when a metrics snapshot is given) the headline counters, gauges,
-/// latency percentiles, per-move-type acceptance rates, and delta-cache
-/// effectiveness.
-///
-/// # Errors
-///
-/// Trace or metrics parse errors.
-pub fn cmd_obs_summary(
-    trace_text: &str,
-    metrics_text: Option<&str>,
-    top: usize,
-) -> Result<String, Box<dyn Error>> {
-    let parsed = parse_trace(trace_text)?;
-    let records = parsed.records;
-    let mut out = String::new();
-    let _ = writeln!(out, "trace: {} events", records.len());
-    if parsed.skipped > 0 {
-        // Truncated/corrupt lines (a torn tail from a killed run) are
-        // skipped, not fatal — but always surfaced.
-        let _ = writeln!(out, "parse.skipped: {} malformed lines ignored", parsed.skipped);
-    }
-
-    let _ = writeln!(out, "top events by cumulative time:");
-    for t in dsd_obs::export::totals_by_name(&records).into_iter().take(top) {
-        let _ = writeln!(
-            out,
-            "  {:<28} {:<10} x{:<7} {:>12.3} ms",
-            t.name,
-            t.cat,
-            t.count,
-            t.total_us / 1000.0
-        );
-    }
-
-    // The global incumbent curve: every strategy's (and every lane's)
-    // incumbents in time order, keeping those that beat the best so far,
-    // so the curve is monotone.
-    let mut curve: Vec<(u64, f64)> = Vec::new();
-    for event in records.iter().filter_map(dsd_obs::ProgressEvent::decode) {
-        if let dsd_obs::ProgressKind::IncumbentImproved { cost, evals, .. } = event.kind {
-            if curve.last().is_none_or(|&(_, best)| cost < best) {
-                curve.push((evals, cost));
-            }
-        }
-    }
-    if curve.is_empty() {
-        let _ = writeln!(out, "objective curve: no progress.incumbent events in trace");
-    } else {
-        let _ = writeln!(out, "objective vs evaluations ({} improvements):", curve.len());
-        for (evals, cost) in &curve {
-            let _ = writeln!(out, "  {evals:>8} evals  ->  ${cost:.0}");
-        }
-    }
-
-    if let Some(metrics_text) = metrics_text {
-        let snapshot: dsd_obs::MetricsSnapshot = serde_json::from_str(metrics_text)?;
-        let _ = writeln!(out, "metrics: {} series", snapshot.series_count());
-        for (name, value) in &snapshot.counters {
-            let _ = writeln!(out, "  counter {name:<28} {value}");
-        }
-        for (name, value) in &snapshot.gauges {
-            let _ = writeln!(out, "  gauge   {name:<28} {value:.4}");
-        }
-        for (name, h) in &snapshot.histograms {
-            let _ = writeln!(
-                out,
-                "  hist    {name:<28} n={} mean={:.6} p50={:.6} p90={:.6} p95={:.6} p99={:.6} \
-                 max={:.6}",
-                h.count, h.mean, h.p50, h.p90, h.p95, h.p99, h.max
-            );
-        }
-        if let Some(line) = shard_occupancy_line(&snapshot) {
-            let _ = writeln!(out, "{line}");
-        }
-        let rates = snapshot.move_rates();
-        if !rates.is_empty() {
-            let _ = writeln!(out, "move acceptance rates:");
-            for r in &rates {
-                let _ = writeln!(
-                    out,
-                    "  {:<18} {:>7} trials  {:>7} accepted  ({:.1}%)",
-                    r.kind,
-                    r.trials,
-                    r.accepted,
-                    r.acceptance_rate().unwrap_or(0.0) * 100.0
-                );
-            }
-        }
-        if let (Some(hits), Some(recomputed)) =
-            (snapshot.counter("eval.delta_hits"), snapshot.counter("eval.scenarios_recomputed"))
-        {
-            let total = hits + recomputed;
-            if total > 0 {
-                #[allow(clippy::cast_precision_loss)]
-                let reuse = hits as f64 / total as f64 * 100.0;
-                let _ = writeln!(
-                    out,
-                    "delta cache: {hits} scenarios replayed / {recomputed} recomputed \
-                     ({reuse:.1}% reuse)"
-                );
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Machine-readable `dsd explain` export: the full attribution plus the
@@ -595,54 +486,59 @@ pub fn cmd_obs_diff(a_text: &str, b_text: &str) -> Result<(String, usize), Box<d
     Ok((out, counts[0]))
 }
 
-/// Renders the eval-cache shard occupancy gauges
-/// (`eval_cache.shard_occupancy.<i>`, published at the end of a cached
-/// solve) as one imbalance line; `None` when the run published none.
-fn shard_occupancy_line(snapshot: &dsd_obs::MetricsSnapshot) -> Option<String> {
-    let occupancy: Vec<f64> = snapshot
-        .gauges
-        .iter()
-        .filter(|(name, _)| name.starts_with("eval_cache.shard_occupancy."))
-        .map(|(_, v)| *v)
-        .collect();
-    if occupancy.is_empty() {
-        return None;
+/// The metrics digest of `dsd obs profile`: every counter, gauge and
+/// histogram of the snapshot, the per-move-type acceptance rates, and
+/// the delta cache's scenario reuse.
+fn write_metrics(out: &mut String, snapshot: &dsd_obs::MetricsSnapshot) {
+    let _ = writeln!(out, "metrics: {} series", snapshot.series_count());
+    for (name, value) in &snapshot.counters {
+        let _ = writeln!(out, "  counter {name:<28} {value}");
     }
-    let min = occupancy.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = occupancy.iter().copied().fold(0.0f64, f64::max);
-    #[allow(clippy::cast_precision_loss)]
-    let mean = occupancy.iter().sum::<f64>() / occupancy.len() as f64;
-    let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-    Some(format!(
-        "eval cache shards: {} occupancy min={min:.0} mean={mean:.1} max={max:.0} \
-         imbalance={imbalance:.2}x",
-        occupancy.len()
-    ))
+    for (name, value) in &snapshot.gauges {
+        let _ = writeln!(out, "  gauge   {name:<28} {value:.4}");
+    }
+    for (name, h) in &snapshot.histograms {
+        let _ = writeln!(
+            out,
+            "  hist    {name:<28} n={} mean={:.6} p50={:.6} p90={:.6} p95={:.6} p99={:.6} \
+             max={:.6}",
+            h.count, h.mean, h.p50, h.p90, h.p95, h.p99, h.max
+        );
+    }
+    let rates = snapshot.move_rates();
+    if !rates.is_empty() {
+        let _ = writeln!(out, "move acceptance rates:");
+        for r in &rates {
+            let _ = writeln!(
+                out,
+                "  {:<18} {:>7} trials  {:>7} accepted  ({:.1}%)",
+                r.kind,
+                r.trials,
+                r.accepted,
+                r.acceptance_rate().unwrap_or(0.0) * 100.0
+            );
+        }
+    }
+    if let (Some(hits), Some(recomputed)) =
+        (snapshot.counter("eval.delta_hits"), snapshot.counter("eval.scenarios_recomputed"))
+    {
+        let total = hits + recomputed;
+        if total > 0 {
+            #[allow(clippy::cast_precision_loss)]
+            let reuse = hits as f64 / total as f64 * 100.0;
+            let _ = writeln!(
+                out,
+                "delta cache: {hits} scenarios replayed / {recomputed} recomputed \
+                 ({reuse:.1}% reuse)"
+            );
+        }
+    }
 }
-
-/// Histograms surfaced in the profile report's contention section, in
-/// display order: solver hot-path latencies plus the portfolio's
-/// contention telemetry.
-const CONTENTION_HISTOGRAMS: &[&str] = &[
-    "solver.eval_latency",
-    "eval_cache.probe_latency",
-    "portfolio.steal_latency",
-    "portfolio.worker_eval_secs",
-    "portfolio.worker_idle_secs",
-];
-
-/// Seqlock adopt/publish counters shown alongside them.
-const CONTENTION_COUNTERS: &[&str] = &[
-    "portfolio.adopts",
-    "portfolio.adopt_rejects",
-    "portfolio.publish_accepts",
-    "portfolio.publish_rejects",
-];
 
 /// `dsd obs profile <trace.jsonl> [<metrics.json>] [--top N]` — fold the
 /// span stream into the deterministic profile tree and render the top-N
-/// self-time table (plus the contention section when a metrics snapshot
-/// is supplied). Returns `(text, json)`; the JSON is the
+/// self-time table, followed by the metrics digest when a metrics
+/// snapshot is supplied. Returns `(text, json)`; the JSON is the
 /// schema-versioned profile export.
 ///
 /// # Errors
@@ -709,35 +605,7 @@ pub fn cmd_obs_profile(
     }
 
     if let Some(snapshot) = &snapshot {
-        // Contention section: hot-path latency percentiles (reusing the
-        // histogram snapshots' quantiles) plus seqlock adopt/publish
-        // counts and shard imbalance.
-        let mut header_written = false;
-        for name in CONTENTION_HISTOGRAMS {
-            if let Some(h) = snapshot.histogram(name) {
-                if !header_written {
-                    let _ = writeln!(out, "contention:");
-                    header_written = true;
-                }
-                let _ = writeln!(
-                    out,
-                    "  hist    {name:<28} n={} p50={:.6} p95={:.6} p99={:.6} max={:.6}",
-                    h.count, h.p50, h.p95, h.p99, h.max
-                );
-            }
-        }
-        for name in CONTENTION_COUNTERS {
-            if let Some(v) = snapshot.counter(name) {
-                if !header_written {
-                    let _ = writeln!(out, "contention:");
-                    header_written = true;
-                }
-                let _ = writeln!(out, "  counter {name:<28} {v}");
-            }
-        }
-        if let Some(line) = shard_occupancy_line(snapshot) {
-            let _ = writeln!(out, "{line}");
-        }
+        write_metrics(&mut out, snapshot);
     }
 
     let json = serde_json::to_string_pretty(&tree.to_value())?;
@@ -856,56 +724,43 @@ mod tests {
     }
 
     #[test]
-    fn obs_summary_digests_trace_and_metrics() {
+    fn obs_profile_digests_trace_and_metrics() {
         let recorder = dsd_obs::Recorder::new();
         {
             let _g = recorder.install();
             let mut span = dsd_obs::span("solver.solve", "solver");
             span.arg("budget", 10u64);
-            dsd_obs::progress::incumbent_improved(1234.5, None, 5);
             dsd_obs::add("solver.nodes_evaluated", 5);
             dsd_obs::add("solver.trials.reassign", 8);
             dsd_obs::add("solver.accepted.reassign", 2);
             dsd_obs::add("eval.delta_hits", 30);
             dsd_obs::add("eval.scenarios_recomputed", 10);
+            dsd_obs::gauge("eval_cache.shard_occupancy.0", 3.0);
             dsd_obs::observe("solver.eval_latency", 0.002);
             drop(span);
         }
-        let trace = dsd_obs::export::trace_jsonl(&recorder.drain_events());
+        let mut trace = dsd_obs::export::trace_jsonl(&recorder.drain_events());
         let metrics = serde_json::to_string(&recorder.metrics_snapshot()).unwrap();
 
-        let out = cmd_obs_summary(&trace, Some(&metrics), 10).expect("summarizes");
-        assert!(out.contains("top events by cumulative time"));
-        assert!(out.contains("solver.solve"));
-        assert!(out.contains("objective vs evaluations"));
-        assert!(out.contains("$1234") || out.contains("$1235"));
-        assert!(out.contains("counter solver.nodes_evaluated"));
-        assert!(out.contains("hist    solver.eval_latency"));
-        assert!(out.contains("move acceptance rates:"));
-        assert!(out.contains("reassign"));
-        assert!(out.contains("(25.0%)"));
+        let (out, _) = cmd_obs_profile(&trace, Some(&metrics), 10).expect("profiles");
+        assert!(out.contains("top self-time nodes:"), "{out}");
+        assert!(out.contains("solver.solve"), "{out}");
+        assert!(out.contains("counter solver.nodes_evaluated"), "{out}");
+        assert!(out.contains("gauge   eval_cache.shard_occupancy.0"), "{out}");
+        assert!(out.contains("hist    solver.eval_latency"), "{out}");
+        assert!(out.contains("move acceptance rates:"), "{out}");
+        assert!(out.contains("reassign"), "{out}");
+        assert!(out.contains("(25.0%)"), "{out}");
         assert!(out.contains("delta cache: 30 scenarios replayed / 10 recomputed (75.0% reuse)"));
 
-        // `--top 0` suppresses the totals table entirely.
-        let trimmed = cmd_obs_summary(&trace, None, 0).expect("summarizes");
-        assert!(!trimmed.contains("solver.solve  "));
-
-        assert!(cmd_obs_summary("not json", None, 10).is_err());
-        assert!(cmd_obs_summary(&trace, Some("not json"), 10).is_err());
-    }
-
-    #[test]
-    fn obs_summary_tolerates_a_torn_tail() {
-        let recorder = dsd_obs::Recorder::new();
-        {
-            let _g = recorder.install();
-            let _span = dsd_obs::span("solver.solve", "solver");
-        }
-        let mut trace = dsd_obs::export::trace_jsonl(&recorder.drain_events());
+        // Without a snapshot there is no digest; a torn tail is counted.
         trace.push_str("{\"ts_us\":9.0,\"dur_us\":0.0,\"kind\":\"insta");
-        let out = cmd_obs_summary(&trace, None, 10).expect("summarizes despite torn tail");
-        assert!(out.contains("trace: 1 events"), "{out}");
+        let (out, _) = cmd_obs_profile(&trace, None, 10).expect("profiles despite torn tail");
+        assert!(!out.contains("metrics:"), "{out}");
         assert!(out.contains("parse.skipped: 1 malformed lines ignored"), "{out}");
+
+        assert!(cmd_obs_profile("not json", None, 10).is_err());
+        assert!(cmd_obs_profile(&trace, Some("not json"), 10).is_err());
     }
 
     #[test]

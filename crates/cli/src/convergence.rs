@@ -1,26 +1,30 @@
-//! Convergence-curve reports over progress events (`dsd obs curve`).
+//! Convergence-curve reports over progress events: the one fold behind
+//! `dsd obs curve` and the live `--progress` line.
 //!
 //! A progress log (`dsd design --progress-log`) holds a run's
 //! `progress.*` events as JSONL trace lines, and a full trace
-//! (`--trace`) carries the same events among its spans; this module
-//! turns the progress events of one or more of either into a report:
-//! cost and certificate gap versus elapsed time, time-to-X%-gap
-//! milestones, per-worker lanes, and — with several runs — an A/B table
-//! against the first run. Parsing is lenient (torn tails are counted,
-//! never fatal), matching the rest of the observability surface.
+//! (`--trace`) carries the same events among its spans. A [`RunCurve`]
+//! folds the progress events of either into the global incumbent curve
+//! (cost, certificate gap and evaluations versus elapsed time),
+//! time-to-X%-gap milestones and per-worker lanes; `dsd obs curve`
+//! renders one or more runs, with an A/B table against the first, and
+//! the live line is [`RunCurve::status_line`]. Parsing is lenient (torn
+//! tails are counted, never fatal), matching the rest of the
+//! observability surface.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dsd_obs::progress::ProgressKind;
 use dsd_obs::ProgressEvent;
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// Gap milestones (percent above the certificate lower bound) reported
 /// as time-to-gap. 5% is the headline number the A/B table compares.
 pub const GAP_THRESHOLDS: &[f64] = &[50.0, 20.0, 10.0, 5.0, 2.0, 1.0];
 
-/// One incumbent-improvement sample on the curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One point of the global incumbent curve.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CurveSample {
     /// Seconds since the recorder epoch.
     pub elapsed_secs: f64,
@@ -28,14 +32,18 @@ pub struct CurveSample {
     pub cost: f64,
     /// Gap above the certificate lower bound, percent, when known.
     pub gap_pct: Option<f64>,
+    /// Evaluations across every lane when the incumbent was found.
+    pub evals: u64,
 }
 
 /// Per-worker lane digest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Lane {
     /// Worker lane: the recorder's thread index.
     pub worker: u64,
-    /// Last cumulative evaluation count reported by this lane.
+    /// Evaluations on this lane: each portfolio task counts from zero,
+    /// so this is its finished tasks' `done` counts plus the running
+    /// task's latest count.
     pub evals: u64,
     /// Last heartbeat throughput, when the lane heartbeat at all.
     pub evals_per_sec: Option<f64>,
@@ -49,8 +57,9 @@ pub struct Lane {
     pub adoptions: u64,
 }
 
-/// The progress events of one parsed progress log or trace.
-#[derive(Debug, Clone)]
+/// The progress events of one parsed progress log or trace, or of a
+/// live run as the `--progress` monitor reads them.
+#[derive(Debug, Clone, Default)]
 pub struct RunCurve {
     /// Display name (the file stem of the log).
     pub name: String,
@@ -74,34 +83,73 @@ impl RunCurve {
         Ok(RunCurve { name: name.to_string(), events, skipped: parsed.skipped })
     }
 
-    /// The incumbent-improvement curve, in time order.
-    #[must_use]
-    pub fn incumbents(&self) -> Vec<CurveSample> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                ProgressKind::IncumbentImproved { cost, gap_pct, .. } => {
-                    Some(CurveSample { elapsed_secs: e.elapsed_secs(), cost, gap_pct })
+    /// The one fold over the events: the global incumbent curve and the
+    /// worker lanes, by worker index. A lane that reported no evaluation
+    /// count (a portfolio's spawning thread) is not a worker.
+    fn fold(&self) -> (Vec<CurveSample>, Vec<Lane>) {
+        // Per lane: its digest, its finished tasks' evaluations, and
+        // whether it reported an evaluation count.
+        let mut lanes: BTreeMap<u64, (Lane, u64, bool)> = BTreeMap::new();
+        let mut curve: Vec<CurveSample> = Vec::new();
+        for event in &self.events {
+            let (lane, finished, counted) = lanes
+                .entry(event.worker)
+                .or_insert_with(|| (Lane { worker: event.worker, ..Lane::default() }, 0, false));
+            match event.kind {
+                ProgressKind::IncumbentImproved { evals, .. } => {
+                    lane.evals = *finished + evals;
+                    lane.incumbents += 1;
+                    *counted = true;
                 }
-                _ => None,
-            })
-            .collect()
+                ProgressKind::WorkerHeartbeat { evals, evals_per_sec } => {
+                    lane.evals = *finished + evals;
+                    lane.evals_per_sec = Some(evals_per_sec);
+                    lane.heartbeats += 1;
+                    *counted = true;
+                }
+                ProgressKind::Done { evals, .. } => {
+                    *finished += evals;
+                    lane.evals = *finished;
+                    *counted = true;
+                }
+                ProgressKind::TaskStolen { steals, .. } => lane.steals = lane.steals.max(steals),
+                ProgressKind::IncumbentAdopted { adoptions, .. } => {
+                    lane.adoptions = lane.adoptions.max(adoptions);
+                }
+                ProgressKind::PhaseEntered { .. } | ProgressKind::Restart { .. } => {}
+            }
+            if let ProgressKind::IncumbentImproved { cost, gap_pct, .. } = event.kind {
+                if curve.last().is_none_or(|best| cost < best.cost) {
+                    let evals = lanes.values().map(|(lane, ..)| lane.evals).sum();
+                    let elapsed_secs = event.elapsed_secs();
+                    curve.push(CurveSample { elapsed_secs, cost, gap_pct, evals });
+                }
+            }
+        }
+        let lanes = lanes.into_values().filter(|(.., counted)| *counted).map(|(l, ..)| l).collect();
+        (curve, lanes)
     }
 
-    /// Final incumbent cost (the run's reported objective).
+    /// The global incumbent curve: in time order, each incumbent
+    /// strictly below every earlier one on any lane.
+    #[must_use]
+    pub fn incumbents(&self) -> Vec<CurveSample> {
+        self.fold().0
+    }
+
+    /// Final incumbent cost: the run's best.
     #[must_use]
     pub fn final_cost(&self) -> Option<f64> {
         self.incumbents().last().map(|s| s.cost)
     }
 
-    /// Final incumbent gap above the lower bound.
+    /// Gap above the lower bound of the run's best incumbent.
     #[must_use]
     pub fn final_gap(&self) -> Option<f64> {
         self.incumbents().last().and_then(|s| s.gap_pct)
     }
 
-    /// Total evaluations: sum over lanes of each lane's last cumulative
-    /// count.
+    /// Total evaluations across the worker lanes.
     #[must_use]
     pub fn total_evals(&self) -> u64 {
         self.lanes().iter().map(|l| l.evals).sum()
@@ -120,38 +168,7 @@ impl RunCurve {
     /// Per-worker lane digests, by worker index.
     #[must_use]
     pub fn lanes(&self) -> Vec<Lane> {
-        let mut lanes: std::collections::BTreeMap<u64, Lane> = std::collections::BTreeMap::new();
-        for event in &self.events {
-            let lane = lanes.entry(event.worker).or_insert(Lane {
-                worker: event.worker,
-                evals: 0,
-                evals_per_sec: None,
-                incumbents: 0,
-                heartbeats: 0,
-                steals: 0,
-                adoptions: 0,
-            });
-            match &event.kind {
-                ProgressKind::IncumbentImproved { evals, .. } => {
-                    lane.evals = lane.evals.max(*evals);
-                    lane.incumbents += 1;
-                }
-                ProgressKind::WorkerHeartbeat { evals, evals_per_sec, .. } => {
-                    lane.evals = lane.evals.max(*evals);
-                    lane.evals_per_sec = Some(*evals_per_sec);
-                    lane.heartbeats += 1;
-                }
-                ProgressKind::Done { evals, .. } => lane.evals = lane.evals.max(*evals),
-                ProgressKind::TaskStolen { steals, .. } => {
-                    lane.steals = lane.steals.max(*steals);
-                }
-                ProgressKind::IncumbentAdopted { adoptions, .. } => {
-                    lane.adoptions = lane.adoptions.max(*adoptions);
-                }
-                ProgressKind::PhaseEntered { .. } | ProgressKind::Restart { .. } => {}
-            }
-        }
-        lanes.into_values().collect()
+        self.fold().1
     }
 
     /// Keeps only events emitted on worker lane `worker` (the `--lane`
@@ -194,7 +211,60 @@ impl RunCurve {
     /// Seconds spanned by the stream.
     #[must_use]
     pub fn duration_secs(&self) -> f64 {
-        self.events.last().map_or(0.0, ProgressEvent::elapsed_secs)
+        self.events.iter().map(ProgressEvent::elapsed_secs).fold(0.0, f64::max)
+    }
+
+    /// The live `--progress` line: elapsed time, the latest phase, the
+    /// lowest cost among incumbents and `done` events with its gap, the
+    /// evaluations so far, the cooperation counts, and `done` once a
+    /// search has finished.
+    #[must_use]
+    pub fn status_line(&self) -> String {
+        let mut out = format!("{:7.1}s", self.duration_secs());
+        let phase = self.events.iter().rev().find_map(|e| match &e.kind {
+            ProgressKind::PhaseEntered { phase } => Some(phase),
+            _ => None,
+        });
+        if let Some(phase) = phase {
+            let _ = write!(out, " [{phase}]");
+        }
+        let best = self
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                ProgressKind::IncumbentImproved { cost, gap_pct, .. }
+                | ProgressKind::Done { cost: Some(cost), gap_pct, .. } => Some((cost, gap_pct)),
+                _ => None,
+            })
+            .reduce(|best, next| if next.0 < best.0 { next } else { best });
+        match best {
+            Some((cost, gap_pct)) => {
+                let _ = write!(out, " cost ${cost:.0}");
+                if let Some(gap) = gap_pct {
+                    let _ = write!(out, " gap {gap:.1}%");
+                }
+            }
+            None => out.push_str(" cost —"),
+        }
+        let _ = write!(out, " evals {}", self.total_evals());
+        let workers = self.lanes().len();
+        if workers > 1 {
+            let _ = write!(out, " workers {workers}");
+        }
+        let counts = [
+            ("restarts", self.restarts()),
+            ("steals", self.steals()),
+            ("adoptions", self.adoptions()),
+        ];
+        for (label, count) in counts {
+            if count > 0 {
+                let _ = write!(out, " {label} {count}");
+            }
+        }
+        if self.events.iter().any(|e| matches!(e.kind, ProgressKind::Done { .. })) {
+            out.push_str(" done");
+        }
+        out
     }
 }
 
@@ -227,10 +297,14 @@ pub fn render(runs: &[RunCurve]) -> String {
                 let _ = writeln!(out, "  final: no incumbents logged");
             }
         }
-        let _ = writeln!(out, "  convergence (elapsed, cost, gap):");
+        let _ = writeln!(out, "  convergence (elapsed, cost, gap, evals):");
         for s in &samples {
             let gap = s.gap_pct.map_or("     —".to_string(), |g| format!("{g:6.2}%"));
-            let _ = writeln!(out, "    {:>9.4}s  ${:<14.2} {gap}", s.elapsed_secs, s.cost);
+            let _ = writeln!(
+                out,
+                "    {:>9.4}s  ${:<14.2} {gap} {:>9}",
+                s.elapsed_secs, s.cost, s.evals
+            );
         }
         let milestones: Vec<String> = GAP_THRESHOLDS
             .iter()
@@ -289,99 +363,64 @@ pub fn render(runs: &[RunCurve]) -> String {
     out
 }
 
+/// One run of the machine-readable report.
+#[derive(Serialize)]
+struct RunReport {
+    name: String,
+    events: usize,
+    skipped: u64,
+    duration_secs: f64,
+    final_cost: Option<f64>,
+    final_gap_pct: Option<f64>,
+    restarts: u64,
+    steals: u64,
+    adoptions: u64,
+    milestones: Value,
+    curve: Vec<CurveSample>,
+    lanes: Vec<Lane>,
+}
+
 /// Machine-readable report (one `runs` array; mirrors [`render`]).
 #[must_use]
 pub fn json_report(runs: &[RunCurve]) -> Value {
-    let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
-    let run_values = runs
+    let reports: Vec<RunReport> = runs
         .iter()
         .map(|run| {
-            let curve = run
-                .incumbents()
-                .iter()
-                .map(|s| {
-                    Value::Map(vec![
-                        ("elapsed_secs".to_string(), Value::Float(s.elapsed_secs)),
-                        ("cost".to_string(), Value::Float(s.cost)),
-                        ("gap_pct".to_string(), opt(s.gap_pct)),
-                    ])
-                })
-                .collect();
             let milestones = GAP_THRESHOLDS
                 .iter()
-                .map(|&pct| (format!("time_to_{pct:.0}pct_gap_secs"), opt(run.time_to_gap(pct))))
-                .collect();
-            let lanes = run
-                .lanes()
-                .iter()
-                .map(|lane| {
-                    Value::Map(vec![
-                        (
-                            "worker".to_string(),
-                            Value::Int(i64::try_from(lane.worker).unwrap_or(i64::MAX)),
-                        ),
-                        (
-                            "evals".to_string(),
-                            Value::Int(i64::try_from(lane.evals).unwrap_or(i64::MAX)),
-                        ),
-                        ("evals_per_sec".to_string(), opt(lane.evals_per_sec)),
-                        (
-                            "incumbents".to_string(),
-                            Value::Int(i64::try_from(lane.incumbents).unwrap_or(i64::MAX)),
-                        ),
-                        (
-                            "heartbeats".to_string(),
-                            Value::Int(i64::try_from(lane.heartbeats).unwrap_or(i64::MAX)),
-                        ),
-                        (
-                            "steals".to_string(),
-                            Value::Int(i64::try_from(lane.steals).unwrap_or(i64::MAX)),
-                        ),
-                        (
-                            "adoptions".to_string(),
-                            Value::Int(i64::try_from(lane.adoptions).unwrap_or(i64::MAX)),
-                        ),
-                    ])
+                .map(|&pct| {
+                    (format!("time_to_{pct:.0}pct_gap_secs"), run.time_to_gap(pct).serialize())
                 })
                 .collect();
-            Value::Map(vec![
-                ("name".to_string(), Value::Str(run.name.clone())),
-                (
-                    "events".to_string(),
-                    Value::Int(i64::try_from(run.events.len()).unwrap_or(i64::MAX)),
-                ),
-                ("skipped".to_string(), Value::Int(i64::try_from(run.skipped).unwrap_or(i64::MAX))),
-                ("duration_secs".to_string(), Value::Float(run.duration_secs())),
-                ("final_cost".to_string(), opt(run.final_cost())),
-                ("final_gap_pct".to_string(), opt(run.final_gap())),
-                (
-                    "restarts".to_string(),
-                    Value::Int(i64::try_from(run.restarts()).unwrap_or(i64::MAX)),
-                ),
-                ("steals".to_string(), Value::Int(i64::try_from(run.steals()).unwrap_or(i64::MAX))),
-                (
-                    "adoptions".to_string(),
-                    Value::Int(i64::try_from(run.adoptions()).unwrap_or(i64::MAX)),
-                ),
-                ("milestones".to_string(), Value::Map(milestones)),
-                ("curve".to_string(), Value::Seq(curve)),
-                ("lanes".to_string(), Value::Seq(lanes)),
-            ])
+            RunReport {
+                name: run.name.clone(),
+                events: run.events.len(),
+                skipped: run.skipped,
+                duration_secs: run.duration_secs(),
+                final_cost: run.final_cost(),
+                final_gap_pct: run.final_gap(),
+                restarts: run.restarts(),
+                steals: run.steals(),
+                adoptions: run.adoptions(),
+                milestones: Value::Map(milestones),
+                curve: run.incumbents(),
+                lanes: run.lanes(),
+            }
         })
         .collect();
-    Value::Map(vec![("runs".to_string(), Value::Seq(run_values))])
+    Value::Map(vec![("runs".to_string(), reports.serialize())])
 }
 
-/// CSV export of the incumbent curves: `run,elapsed_secs,cost,gap_pct`
+/// CSV export of the incumbent curves: `run,elapsed_secs,cost,gap_pct,evals`
 /// (one row per improvement, all runs concatenated — ready for A/B
 /// plotting).
 #[must_use]
 pub fn csv(runs: &[RunCurve]) -> String {
-    let mut out = String::from("run,elapsed_secs,cost,gap_pct\n");
+    let mut out = String::from("run,elapsed_secs,cost,gap_pct,evals\n");
     for run in runs {
         for s in run.incumbents() {
             let gap = s.gap_pct.map_or(String::new(), |g| format!("{g}"));
-            let _ = writeln!(out, "{},{},{},{gap}", run.name, s.elapsed_secs, s.cost);
+            let _ = writeln!(out, "{},{},{},{gap},{}", run.name, s.elapsed_secs, s.cost, s.evals);
         }
     }
     out
@@ -495,6 +534,83 @@ mod tests {
         assert_eq!(run.lanes().len(), 1);
     }
 
+    /// A two-worker portfolio log with two tasks per lane. Each task
+    /// counts its evaluations from zero, and lane 0, the spawning thread,
+    /// reports none.
+    fn portfolio_log() -> String {
+        let heartbeat = vec![("evals", 7u64.into()), ("evals_per_sec", 100.0.into())];
+        log(vec![
+            (0, 500_000, "progress.phase", vec![("phase", "portfolio".into())]),
+            (1, 1_000_000, "progress.incumbent", incumbent(2000.0, 40.0, 5)),
+            (2, 1_500_000, "progress.incumbent", incumbent(2100.0, 45.0, 4)),
+            (1, 2_000_000, "progress.done", incumbent(2000.0, 40.0, 10)),
+            (2, 2_500_000, "progress.done", incumbent(2100.0, 45.0, 6)),
+            (1, 3_000_000, "progress.incumbent", incumbent(1800.0, 20.0, 3)),
+            (2, 3_500_000, "progress.heartbeat", heartbeat),
+            (1, 4_000_000, "progress.done", incumbent(1800.0, 20.0, 8)),
+            (2, 4_500_000, "progress.incumbent", incumbent(1700.0, 10.0, 9)),
+            (2, 5_000_000, "progress.done", incumbent(1700.0, 10.0, 12)),
+        ])
+    }
+
+    #[test]
+    fn portfolio_lanes_sum_their_tasks_and_the_curve_is_global() {
+        let run = RunCurve::parse("p", &portfolio_log()).expect("parses");
+        let lanes = run.lanes();
+        let evals: Vec<(u64, u64)> = lanes.iter().map(|l| (l.worker, l.evals)).collect();
+        assert_eq!(evals, vec![(1, 10 + 8), (2, 6 + 12)], "the spawning lane is not a worker");
+        assert_eq!(run.total_evals(), 36);
+
+        // The 2100 incumbent does not beat lane 1's 2000, so it is no
+        // point; each point counts every lane's evaluations so far.
+        let curve: Vec<(f64, u64)> = run.incumbents().iter().map(|s| (s.cost, s.evals)).collect();
+        assert_eq!(curve, vec![(2000.0, 5), (1800.0, 10 + 3 + 6), (1700.0, 18 + 6 + 9)]);
+        assert_eq!(run.final_cost(), Some(1700.0));
+        assert_eq!(run.final_gap(), Some(10.0));
+        assert_eq!(run.time_to_gap(20.0), Some(0.003));
+
+        let line = run.status_line();
+        assert!(line.contains("[portfolio] cost $1700 gap 10.0% evals 36 workers 2"), "{line}");
+        let text = render(std::slice::from_ref(&run));
+        assert!(text.contains("final: cost $1700.00, gap 10.00%, 36 evals"), "{text}");
+        assert!(!text.contains("worker 0:"), "{text}");
+    }
+
+    /// The live line digests the stream as it grows.
+    #[test]
+    fn status_line_digests_the_stream() {
+        let event = |worker, elapsed_ns, kind| ProgressEvent { worker, elapsed_ns, kind };
+        let mut run = RunCurve::default();
+        run.events.extend([
+            event(0, 1_000_000, ProgressKind::PhaseEntered { phase: "greedy".into() }),
+            event(
+                0,
+                2_000_000,
+                ProgressKind::IncumbentImproved { cost: 1234.0, gap_pct: Some(7.5), evals: 10 },
+            ),
+            event(1, 3_000_000, ProgressKind::WorkerHeartbeat { evals: 20, evals_per_sec: 5.0 }),
+            event(0, 4_000_000, ProgressKind::Restart { restarts: 2 }),
+        ]);
+        let line = run.status_line();
+        assert!(line.contains("[greedy]"), "{line}");
+        assert!(line.contains("cost $1234"), "{line}");
+        assert!(line.contains("gap 7.5%"), "{line}");
+        assert!(line.contains("evals 30"), "{line}");
+        assert!(line.contains("workers 2"), "{line}");
+        assert!(line.contains("restarts 2"), "{line}");
+        assert!(!line.contains("done"), "{line}");
+
+        run.events.push(event(
+            0,
+            5_000_000,
+            ProgressKind::Done { cost: Some(1200.0), gap_pct: Some(5.0), evals: 15 },
+        ));
+        let line = run.status_line();
+        assert!(line.contains("cost $1200"), "{line}");
+        assert!(line.contains("done"), "{line}");
+        assert!(line.contains("evals 35"), "{line}");
+    }
+
     #[test]
     fn render_reports_milestones_and_lanes() {
         let run = RunCurve::parse("a", &sample_log()).expect("parses");
@@ -535,8 +651,8 @@ mod tests {
             Some(Value::Float(t)) if (t - 0.004).abs() < 1e-12
         ));
         let text = csv(&[run]);
-        assert!(text.starts_with("run,elapsed_secs,cost,gap_pct\n"), "{text}");
-        assert!(text.contains("a,0.004,1500,4"), "{text}");
+        assert!(text.starts_with("run,elapsed_secs,cost,gap_pct,evals\n"), "{text}");
+        assert!(text.contains("a,0.004,1500,4,17"), "lane 0 at 9 + lane 1 at 8: {text}");
 
         // Torn tails are skipped, not fatal; garbage is an error.
         let mut torn = sample_log();

@@ -11,8 +11,9 @@
 //! * [`commands`] — the subcommand implementations shared by the binary
 //!   and the integration tests;
 //! * [`live`] — the `--progress` live status line;
-//! * [`convergence`] — convergence-curve reports over the progress
-//!   events of progress logs and traces (`dsd obs curve`).
+//! * [`convergence`] — the one fold over the progress events of a live
+//!   run, a progress log or a trace: the live line and `dsd obs curve`'s
+//!   convergence reports.
 //!
 //! # Example spec
 //!

@@ -3,7 +3,8 @@
 //! ```text
 //! dsd init                               # print an example spec (redirect to env.toml)
 //! dsd tables                             # print the paper's input catalogs
-//! dsd design env.toml [--budget N] [--seed N] [--save design.json]
+//! dsd design env.toml [--budget N] [--seed N] [--portfolio] [--threads N]
+//!     [--save design.json] [--report report.md]
 //!     [--trace trace.jsonl] [--metrics metrics.json] [--chrome-trace trace.json]
 //!     [--progress] [--progress-log progress.jsonl]
 //! dsd evaluate env.toml design.json      # re-evaluate a saved design
@@ -11,27 +12,63 @@
 //! dsd experiment table4|figure2..figure7|ablation [--budget N] [--seed N] [--csv out.csv]
 //! dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv out.csv]
 //! dsd experiment scheduling [--budget N] [--seed N]    # no CSV form
-//! dsd obs summary trace.jsonl [metrics.json] [--top N]
+//!     (every experiment also takes --trace, --metrics and --chrome-trace)
+//! dsd analyze-trace trace.csv
 //! dsd obs profile trace.jsonl [metrics.json] [--top N] [--json profile.json]
 //! dsd obs flame trace.jsonl [--chrome-trace enriched.json]
-//! dsd obs curve trace-or-progress.jsonl... [--json report.json] [--csv curve.csv]
+//! dsd obs curve trace-or-progress.jsonl... [--lane N] [--json report.json] [--csv curve.csv]
 //! dsd obs diff run-a.json run-b.json [--fail-on-regression]
 //! dsd tournament [--budget N] [--seed N] [--apps N] [--json report.json]
 //! ```
+//!
+//! A command rejects every flag its usage line does not list.
 
 use std::error::Error;
 use std::fs;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use dsd_cli::commands::{
     cmd_analyze_trace, cmd_design, cmd_evaluate, cmd_experiment, cmd_explain, cmd_init,
-    cmd_obs_curve, cmd_obs_diff, cmd_obs_flame, cmd_obs_profile, cmd_obs_summary, cmd_tables,
-    cmd_tournament, RunOptions,
+    cmd_obs_curve, cmd_obs_diff, cmd_obs_flame, cmd_obs_profile, cmd_tables, cmd_tournament,
+    RunOptions,
 };
 use dsd_cli::live::ProgressMonitor;
 
 fn usage() -> &'static str {
-    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd experiment scheduling [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <trace-or-progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>]\n  dsd experiment figure3-wallclock [--budget SECONDS] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>]\n  dsd experiment scheduling [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <trace-or-progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+}
+
+/// The flags a command reads, as its usage line lists them; `None` for
+/// a command that does not exist, which the dispatcher answers with the
+/// usage text.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "init" | "tables" | "evaluate" | "analyze-trace" => &[],
+        "design" => &[
+            "--budget",
+            "--seed",
+            "--portfolio",
+            "--threads",
+            "--save",
+            "--report",
+            "--trace",
+            "--metrics",
+            "--chrome-trace",
+            "--progress",
+            "--progress-log",
+        ],
+        "explain" | "obs profile" => &["--top", "--json"],
+        "experiment" => &["--budget", "--seed", "--csv", "--trace", "--metrics", "--chrome-trace"],
+        "experiment scheduling" => {
+            &["--budget", "--seed", "--trace", "--metrics", "--chrome-trace"]
+        }
+        "obs flame" => &["--chrome-trace"],
+        "obs curve" => &["--lane", "--json", "--csv"],
+        "obs diff" => &["--fail-on-regression"],
+        "tournament" => &["--budget", "--seed", "--apps", "--json"],
+        _ => return None,
+    })
 }
 
 /// Output-file options pulled from the flags.
@@ -61,14 +98,20 @@ impl OutputPaths {
 }
 
 /// Pulls `--budget`/`--seed`/`--save`/`--report` style flags out of the
-/// argument list, returning the remaining positionals.
+/// argument list, returning the remaining positionals. A flag the
+/// command does not read is an error.
 fn parse_flags(args: &[String]) -> Result<(Vec<&str>, RunOptions, OutputPaths), Box<dyn Error>> {
     let mut positional = Vec::new();
+    let mut flags = Vec::new();
     let mut options = RunOptions::default();
     let mut out = OutputPaths::default();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        if arg.starts_with("--") {
+            flags.push(arg);
+        }
+        match arg {
             "--budget" => {
                 i += 1;
                 let v = args.get(i).ok_or("--budget needs a value")?;
@@ -145,7 +188,29 @@ fn parse_flags(args: &[String]) -> Result<(Vec<&str>, RunOptions, OutputPaths), 
         }
         i += 1;
     }
+    let command = match positional.as_slice() {
+        ["obs", sub, ..] => format!("obs {sub}"),
+        ["experiment", "scheduling"] => "experiment scheduling".to_string(),
+        [command, ..] => (*command).to_string(),
+        [] => String::new(),
+    };
+    if let Some(accepted) = accepted_flags(&command) {
+        if let Some(flag) = flags.iter().find(|flag| !accepted.contains(flag)) {
+            return Err(format!("dsd {command} does not take {flag}").into());
+        }
+    }
     Ok((positional, options, out))
+}
+
+/// Writes `text` to stdout. A closed stdout (a reader that stopped
+/// early, as in `dsd tables | head -1`) ends the output quietly; any
+/// other write error is returned.
+fn emit(text: &str) -> std::io::Result<()> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
 }
 
 /// Writes the recorder's progress log/trace/metrics to every requested
@@ -160,21 +225,21 @@ fn export_observability(
         let progress: Vec<dsd_obs::Event> =
             events.iter().filter(|e| e.cat == dsd_obs::progress::CATEGORY).cloned().collect();
         fs::write(path, dsd_obs::export::trace_jsonl(&progress))?;
-        println!("progress log written to {path}");
+        emit(&format!("progress log written to {path}\n"))?;
     }
     if let Some(path) = &outputs.trace {
         fs::write(path, dsd_obs::export::trace_jsonl(&events))?;
-        println!("trace written to {path}");
+        emit(&format!("trace written to {path}\n"))?;
     }
     if let Some(path) = &outputs.chrome_trace {
         let records: Vec<_> = events.iter().map(dsd_obs::export::TraceRecord::from).collect();
         fs::write(path, dsd_obs::profile::chrome_trace_enriched(&records))?;
-        println!("chrome trace written to {path}");
+        emit(&format!("chrome trace written to {path}\n"))?;
     }
     if let Some(path) = &outputs.metrics {
         let snapshot = recorder.metrics_snapshot();
         fs::write(path, serde_json::to_string(&snapshot)?)?;
-        println!("metrics written to {path}");
+        emit(&format!("metrics written to {path}\n"))?;
     }
     Ok(())
 }
@@ -187,8 +252,8 @@ fn run() -> Result<(), Box<dyn Error>> {
     // buffers flush.
     let recorder = outputs.wants_recording().then(dsd_obs::Recorder::new);
     match positional.as_slice() {
-        ["init"] => print!("{}", cmd_init()),
-        ["tables"] => print!("{}", cmd_tables()),
+        ["init"] => emit(&cmd_init())?,
+        ["tables"] => emit(&cmd_tables())?,
         ["design", spec_path] => {
             let spec = fs::read_to_string(spec_path)?;
             // Progress events ride the recorder: `--progress` paints them
@@ -212,20 +277,20 @@ fn run() -> Result<(), Box<dyn Error>> {
                 export_observability(recorder, &outputs)?;
             }
             let (text, json, md) = result?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.save {
                 fs::write(&path, json)?;
-                println!("design saved to {path}");
+                emit(&format!("design saved to {path}\n"))?;
             }
             if let Some(path) = outputs.report {
                 fs::write(&path, md)?;
-                println!("report written to {path}");
+                emit(&format!("report written to {path}\n"))?;
             }
         }
         ["evaluate", spec_path, design_path] => {
             let spec = fs::read_to_string(spec_path)?;
             let design = fs::read_to_string(design_path)?;
-            print!("{}", cmd_evaluate(&spec, &design)?);
+            emit(&cmd_evaluate(&spec, &design)?)?;
         }
         ["experiment", name] => {
             let result = {
@@ -236,62 +301,53 @@ fn run() -> Result<(), Box<dyn Error>> {
                 export_observability(recorder, &outputs)?;
             }
             let (text, csv) = result?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.csv {
                 let csv = csv.ok_or_else(|| format!("experiment {name} has no CSV to write"))?;
                 fs::write(&path, csv)?;
-                println!("csv written to {path}");
+                emit(&format!("csv written to {path}\n"))?;
             }
         }
         ["analyze-trace", trace_path] => {
             let trace = fs::read_to_string(trace_path)?;
-            print!("{}", cmd_analyze_trace(&trace)?);
+            emit(&cmd_analyze_trace(&trace)?)?;
         }
         ["explain", spec_path, design_path] => {
             let spec = fs::read_to_string(spec_path)?;
             let design = fs::read_to_string(design_path)?;
             let (text, json) = cmd_explain(&spec, &design, outputs.top.unwrap_or(5))?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.json {
                 fs::write(&path, json)?;
-                println!("explain report written to {path}");
+                emit(&format!("explain report written to {path}\n"))?;
             }
-        }
-        ["obs", "summary", trace_path] => {
-            let trace = fs::read_to_string(trace_path)?;
-            print!("{}", cmd_obs_summary(&trace, None, outputs.top.unwrap_or(10))?);
-        }
-        ["obs", "summary", trace_path, metrics_path] => {
-            let trace = fs::read_to_string(trace_path)?;
-            let metrics = fs::read_to_string(metrics_path)?;
-            print!("{}", cmd_obs_summary(&trace, Some(&metrics), outputs.top.unwrap_or(10))?);
         }
         ["obs", "profile", rest @ ..] if matches!(rest.len(), 1 | 2) => {
             let trace = fs::read_to_string(rest[0])?;
             let metrics = rest.get(1).map(fs::read_to_string).transpose()?;
             let (text, json) =
                 cmd_obs_profile(&trace, metrics.as_deref(), outputs.top.unwrap_or(10))?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.json {
                 fs::write(&path, json)?;
-                println!("profile written to {path}");
+                emit(&format!("profile written to {path}\n"))?;
             }
         }
         ["obs", "flame", trace_path] => {
             let trace = fs::read_to_string(trace_path)?;
             let (collapsed, enriched) = cmd_obs_flame(&trace)?;
-            print!("{collapsed}");
+            emit(&collapsed)?;
             if let Some(path) = outputs.chrome_trace {
                 fs::write(&path, enriched)?;
-                println!("enriched chrome trace written to {path}");
+                emit(&format!("enriched chrome trace written to {path}\n"))?;
             }
         }
         ["tournament"] => {
             let (text, json, violations) = cmd_tournament(options, outputs.apps.unwrap_or(4))?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.json {
                 fs::write(&path, json)?;
-                println!("tournament report written to {path}");
+                emit(&format!("tournament report written to {path}\n"))?;
             }
             if violations > 0 {
                 return Err(format!("{violations} certificate violations detected").into());
@@ -309,21 +365,21 @@ fn run() -> Result<(), Box<dyn Error>> {
                 runs.push((name, text));
             }
             let (text, json, csv) = cmd_obs_curve(&runs, outputs.lane)?;
-            print!("{text}");
+            emit(&text)?;
             if let Some(path) = outputs.json {
                 fs::write(&path, json)?;
-                println!("curve report written to {path}");
+                emit(&format!("curve report written to {path}\n"))?;
             }
             if let Some(path) = outputs.csv {
                 fs::write(&path, csv)?;
-                println!("curve csv written to {path}");
+                emit(&format!("curve csv written to {path}\n"))?;
             }
         }
         ["obs", "diff", a_path, b_path] => {
             let a = fs::read_to_string(a_path)?;
             let b = fs::read_to_string(b_path)?;
             let (text, regressions) = cmd_obs_diff(&a, &b)?;
-            print!("{text}");
+            emit(&text)?;
             if outputs.fail_on_regression && regressions > 0 {
                 return Err(format!("{regressions} metric regressions detected").into());
             }

@@ -69,6 +69,60 @@ fn bad_usage_exits_nonzero_with_usage_text() {
 
     let missing = dsd().args(["design", "/nonexistent/spec.toml"]).output().expect("runs");
     assert!(!missing.status.success());
+
+    let summary = dsd().args(["obs", "summary", "trace.jsonl"]).output().expect("runs");
+    assert_eq!(summary.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&summary.stderr).contains("usage:"));
+}
+
+/// A command rejects, before doing any work, every flag its usage line
+/// does not list, instead of ignoring it.
+#[test]
+fn flags_a_command_does_not_read_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("dsd-flags-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, log) = (dir.join("t.jsonl"), dir.join("p.jsonl"));
+    let probes = [
+        (
+            dsd()
+                .args(["evaluate", "env.toml", "design.json", "--trace"])
+                .arg(&trace)
+                .arg("--progress-log")
+                .arg(&log)
+                .output(),
+            "dsd evaluate does not take --trace",
+        ),
+        (
+            dsd()
+                .args(["experiment", "scheduling", "--budget", "5", "--progress-log"])
+                .arg(&log)
+                .output(),
+            "dsd experiment scheduling does not take --progress-log",
+        ),
+        (dsd().args(["tables", "--seed", "3"]).output(), "dsd tables does not take --seed"),
+    ];
+    for (out, message) in probes {
+        let out = out.expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{message}: {stderr}");
+        assert!(stderr.contains(r#"{"event":"error""#), "{message}: {stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+        assert!(out.stdout.is_empty(), "{message}: no work was done");
+    }
+    assert!(!trace.exists() && !log.exists(), "no file was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes `dsd`'s stdout early ends the output: exit 0,
+/// no panic on stderr.
+#[test]
+fn a_closed_stdout_ends_dsd_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = dsd().arg("tables").stdout(writer).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "nothing on stderr, no panic: {stderr}");
 }
 
 /// Every failure must exit nonzero AND emit a machine-readable error
@@ -93,7 +147,7 @@ fn failures_emit_a_structured_error_event() {
 }
 
 /// `--trace`/`--metrics`/`--chrome-trace` write parseable observability
-/// artifacts, and `dsd obs summary` digests them.
+/// artifacts, and `dsd obs profile` and `dsd obs flame` digest them.
 #[test]
 fn design_records_trace_and_metrics() {
     let dir = std::env::temp_dir().join(format!("dsd-obs-test-{}", std::process::id()));
@@ -168,28 +222,8 @@ fn design_records_trace_and_metrics() {
     assert!(snapshot.counter("solver.trials.reassign").unwrap_or(0) > 0);
     assert!(snapshot.gauge("cost.total").is_some());
 
-    // obs summary digests the pair, including convergence diagnostics.
-    let summary = dsd()
-        .args([
-            "obs",
-            "summary",
-            trace_path.to_str().unwrap(),
-            metrics_path.to_str().unwrap(),
-            "--top",
-            "5",
-        ])
-        .output()
-        .expect("runs");
-    assert!(summary.status.success(), "{}", String::from_utf8_lossy(&summary.stderr));
-    let text = String::from_utf8_lossy(&summary.stdout);
-    assert!(text.contains("top events by cumulative time"));
-    assert!(text.contains("objective vs evaluations"));
-    assert!(text.contains("metrics:"));
-    assert!(text.contains("move acceptance rates:"));
-    assert!(text.contains("delta cache:"));
-
-    // obs profile folds the same trace into a verified span tree and
-    // writes the schema-versioned JSON export.
+    // obs profile folds the same trace into a verified span tree, digests
+    // the metrics, and writes the schema-versioned JSON export.
     let profile_json_path = dir.join("profile.json");
     let profile = dsd()
         .args([
@@ -208,7 +242,10 @@ fn design_records_trace_and_metrics() {
     let text = String::from_utf8_lossy(&profile.stdout);
     assert!(text.contains("attributed:"), "{text}");
     assert!(text.contains("solver.solve"), "{text}");
-    assert!(text.contains("contention:"), "{text}");
+    assert!(text.contains("metrics:"), "{text}");
+    assert!(text.contains("counter solver.nodes_evaluated"), "{text}");
+    assert!(text.contains("move acceptance rates:"), "{text}");
+    assert!(text.contains("delta cache:"), "{text}");
     let profile_value = serde_json::parse(&std::fs::read_to_string(&profile_json_path).unwrap())
         .expect("profile json parses");
     assert_eq!(profile_value.get("schema_version"), Some(&serde::Value::Int(1)));
@@ -514,6 +551,50 @@ fn obs_curve_reads_a_trace_like_its_progress_log() {
     assert!(from_trace.contains("final: cost $"), "{from_trace}");
     assert_eq!(from_trace.replacen("run t: ", "run p: ", 1), curve(&progress_path));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One fold: on a two-worker portfolio run, `dsd design`'s node count,
+/// the last live `--progress` line and `dsd obs curve` of the progress
+/// log report the same number of evaluations.
+#[test]
+fn design_live_line_and_curve_count_the_same_evaluations() {
+    let dir = std::env::temp_dir().join(format!("dsd-evals-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("env.toml");
+    let progress_path = dir.join("p.jsonl");
+    let init = dsd().arg("init").output().expect("runs");
+    assert!(init.status.success());
+    std::fs::write(&spec_path, &init.stdout).unwrap();
+    let design = dsd()
+        .args(["design", spec_path.to_str().unwrap(), "--portfolio", "--threads", "2"])
+        .args(["--budget", "20", "--seed", "7", "--progress", "--progress-log"])
+        .arg(&progress_path)
+        .output()
+        .expect("runs");
+    assert!(design.status.success(), "{}", String::from_utf8_lossy(&design.stderr));
+
+    // The number after `key` in `text`.
+    let number_after = |text: &str, key: &str| -> u64 {
+        let rest =
+            &text[text.find(key).unwrap_or_else(|| panic!("`{key}` in {text}")) + key.len()..];
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().unwrap_or_else(|_| panic!("a number after `{key}` in {text}"))
+    };
+    let stdout = String::from_utf8_lossy(&design.stdout);
+    let designed = number_after(&stdout, "design (");
+    let stderr = String::from_utf8_lossy(&design.stderr);
+    let last_line = stderr.rsplit('\r').next().unwrap_or_default();
+    let live = number_after(last_line, " evals ");
+
+    let curve = dsd().args(["obs", "curve"]).arg(&progress_path).output().expect("runs");
+    assert!(curve.status.success(), "{}", String::from_utf8_lossy(&curve.stderr));
+    let text = String::from_utf8_lossy(&curve.stdout);
+    let final_line = text.lines().find(|l| l.contains("final:")).expect("final line");
+    let curved = number_after(final_line, "%, ");
+
+    assert!(designed > 0);
+    assert_eq!((live, curved), (designed, designed), "{last_line}\n{final_line}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

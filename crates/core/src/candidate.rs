@@ -7,13 +7,13 @@ use serde::{Deserialize, Serialize};
 
 use dsd_protection::{Demands, TechniqueConfig, TechniqueId};
 use dsd_recovery::{AppProtection, Evaluator, PenaltySummary, Placement, ScenarioOutcomeCache};
-use dsd_resources::{ArrayRef, Provision, ProvisionCheckpoint, ResourceError, RouteId, TapeRef};
+use dsd_resources::{ArrayRef, Provision, ResourceError, TapeRef};
 use dsd_units::{Dollars, HOURS_PER_YEAR};
 use dsd_workload::AppId;
 
 use std::collections::BTreeSet;
 
-use dsd_failure::{FailureScenario, FailureScope};
+use dsd_failure::FailureScenario;
 use dsd_recovery::ScenarioDigest;
 
 use crate::delta::{AppSliceFingerprint, Move, MoveUndo, TouchedDevices};
@@ -275,7 +275,8 @@ impl Candidate {
     }
 
     /// Tries to assign `app` the given technique/config/placement,
-    /// allocating all demanded resources.
+    /// allocating all demanded resources: [`Candidate::apply_move`] of a
+    /// [`Move::Reassign`] whose undo token is dropped.
     ///
     /// # Errors
     ///
@@ -298,57 +299,7 @@ impl Candidate {
             !self.assignments.contains_key(&app),
             "application {app} is already assigned; remove it before reassigning"
         );
-        let t = &env.catalog[technique];
-        assert!(
-            placement.consistent_with(t),
-            "placement shape does not match technique {}",
-            t.name
-        );
-        // Snapshot everything the allocation may touch; a failed step
-        // restores those bits exactly instead of cloning the provision.
-        let checkpoint = self.placement_checkpoint(env, app, &placement);
-        match self.alloc_assignment(env, app, technique, config, placement) {
-            Ok(placement) => {
-                self.assignments.insert(app, AppAssignment { technique, config, placement });
-                self.cost = None;
-                self.memo.shape_stale = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.provision.restore(checkpoint);
-                Err(e)
-            }
-        }
-    }
-
-    /// Snapshot of every provision state a prospective assignment of
-    /// `app` at `placement` could mutate: the placement's devices (route
-    /// resolved from the topology when not yet known), the primary and
-    /// failover compute, and `app`'s ledger entry.
-    fn placement_checkpoint(
-        &self,
-        env: &Environment,
-        app: AppId,
-        placement: &Placement,
-    ) -> ProvisionCheckpoint {
-        let mut arrays = vec![placement.primary];
-        if let Some(m) = placement.mirror {
-            arrays.push(m);
-        }
-        let tapes: Vec<TapeRef> = placement.tape.into_iter().collect();
-        let mut routes: Vec<RouteId> = placement.route.into_iter().collect();
-        if routes.is_empty() {
-            if let Some(m) = placement.mirror {
-                if let Some(r) = env.topology.route_between(placement.primary.site, m.site) {
-                    routes.push(r);
-                }
-            }
-        }
-        let mut sites = vec![placement.primary.site];
-        if let Some(s) = placement.failover_site {
-            sites.push(s);
-        }
-        self.provision.checkpoint(Some(app), &arrays, &tapes, &routes, &sites)
+        self.apply_move(env, &Move::Reassign { app, technique, config, placement }).map(drop)
     }
 
     /// Performs the allocation sequence of one assignment directly on the
@@ -493,7 +444,6 @@ impl Candidate {
                             assignment: Some((app, prev)),
                             cost: self.cost.take(),
                             touched,
-                            undo_counter: mv.undo_counter(),
                         })
                     }
                     Err(e) => {
@@ -510,39 +460,21 @@ impl Candidate {
                 self.provision.add_extra_links(route, extra)?;
                 let touched = TouchedDevices { routes: vec![route], ..TouchedDevices::default() };
                 mark_apps_touching(&self.assignments, &mut self.memo, &touched);
-                Ok(MoveUndo {
-                    checkpoint,
-                    assignment: None,
-                    cost: self.cost.take(),
-                    touched,
-                    undo_counter: mv.undo_counter(),
-                })
+                Ok(MoveUndo { checkpoint, assignment: None, cost: self.cost.take(), touched })
             }
             Move::AddTapeDrives { tape, extra } => {
                 let checkpoint = self.provision.checkpoint(None, &[], &[tape], &[], &[]);
                 self.provision.add_extra_tape_drives(tape, extra)?;
                 let touched = TouchedDevices { tapes: vec![tape], ..TouchedDevices::default() };
                 mark_apps_touching(&self.assignments, &mut self.memo, &touched);
-                Ok(MoveUndo {
-                    checkpoint,
-                    assignment: None,
-                    cost: self.cost.take(),
-                    touched,
-                    undo_counter: mv.undo_counter(),
-                })
+                Ok(MoveUndo { checkpoint, assignment: None, cost: self.cost.take(), touched })
             }
             Move::AddArrayUnits { array, extra } => {
                 let checkpoint = self.provision.checkpoint(None, &[array], &[], &[], &[]);
                 self.provision.add_extra_array_units(array, extra)?;
                 let touched = TouchedDevices { arrays: vec![array], ..TouchedDevices::default() };
                 mark_apps_touching(&self.assignments, &mut self.memo, &touched);
-                Ok(MoveUndo {
-                    checkpoint,
-                    assignment: None,
-                    cost: self.cost.take(),
-                    touched,
-                    undo_counter: mv.undo_counter(),
-                })
+                Ok(MoveUndo { checkpoint, assignment: None, cost: self.cost.take(), touched })
             }
         }
     }
@@ -551,7 +483,6 @@ impl Candidate {
     /// the snapshotted provision state, assignment, and cached cost
     /// bit-for-bit.
     pub fn undo_move(&mut self, undo: MoveUndo) {
-        dsd_obs::add(undo.undo_counter, 1);
         // The restore flips the touched devices' state right back, so the
         // same apps that went stale on apply go stale again on undo
         // (only the moved app's own assignment differs between the two
@@ -701,26 +632,15 @@ impl Candidate {
             match refresh {
                 MemoRefresh::Dirty(dirty) if in_step && dirty.is_empty() => {}
                 MemoRefresh::Dirty(dirty) if in_step => {
-                    // Per-failure-scope recombination counts feed the
-                    // profiler: which failure domain a move's cost
-                    // concentrates in is a tuning signal.
-                    let (mut by_scope, mut recombined) = ([0u64; 3], 0u64);
+                    let mut recombined = 0u64;
                     for (digest, s) in digests.iter_mut().zip(scenarios.iter()) {
                         if dirty.iter().any(|&(app, primary)| s.scope.affects_app(app, primary)) {
                             *digest = crate::delta::combine(&s.scope, fingerprints);
                             recombined += 1;
-                            by_scope[match s.scope {
-                                FailureScope::DataObject { .. } => 0,
-                                FailureScope::DiskArray { .. } => 1,
-                                FailureScope::SiteDisaster { .. } => 2,
-                            }] += 1;
                         }
                     }
                     dsd_obs::add("eval.digests_recombined", recombined);
                     dsd_obs::add("eval.digests_reused", scenarios.len() as u64 - recombined);
-                    dsd_obs::add("eval.recombine.data_object", by_scope[0]);
-                    dsd_obs::add("eval.recombine.disk_array", by_scope[1]);
-                    dsd_obs::add("eval.recombine.site_disaster", by_scope[2]);
                 }
                 // A rebuilt memo, or digests out of step with the
                 // scenario list: recombine every digest.
@@ -807,7 +727,6 @@ impl Candidate {
         cache: &mut ScenarioOutcomeCache,
     ) -> Result<(CostBreakdown, MoveUndo), ResourceError> {
         let undo = self.apply_move(env, mv)?;
-        dsd_obs::add(mv.delta_counter(), 1);
         let cost = self.evaluate_with(env, cache).clone();
         Ok((cost, undo))
     }

@@ -118,31 +118,6 @@ impl Move {
             Move::AddArrayUnits { .. } => "eval.apply.add_array_units",
         }
     }
-
-    /// Profiler counter name for reverted applications of this move kind
-    /// (`Candidate::undo_move`). Carried on the undo token, since the
-    /// token is all the undo path sees.
-    #[must_use]
-    pub fn undo_counter(&self) -> &'static str {
-        match self {
-            Move::Reassign { .. } => "eval.undo.reassign",
-            Move::AddLinks { .. } => "eval.undo.add_links",
-            Move::AddTapeDrives { .. } => "eval.undo.add_tape_drives",
-            Move::AddArrayUnits { .. } => "eval.undo.add_array_units",
-        }
-    }
-
-    /// Profiler counter name for delta evaluations of this move kind
-    /// (`Candidate::evaluate_delta`).
-    #[must_use]
-    pub fn delta_counter(&self) -> &'static str {
-        match self {
-            Move::Reassign { .. } => "eval.delta.reassign",
-            Move::AddLinks { .. } => "eval.delta.add_links",
-            Move::AddTapeDrives { .. } => "eval.delta.add_tape_drives",
-            Move::AddArrayUnits { .. } => "eval.delta.add_array_units",
-        }
-    }
 }
 
 /// The devices a move mutated — consulted by undo to re-mark the
@@ -164,9 +139,6 @@ pub struct MoveUndo {
     pub(crate) assignment: Option<(AppId, Option<AppAssignment>)>,
     pub(crate) cost: Option<CostBreakdown>,
     pub(crate) touched: TouchedDevices,
-    /// Profiler counter bumped when this token is consumed by
-    /// `Candidate::undo_move` (see [`Move::undo_counter`]).
-    pub(crate) undo_counter: &'static str,
 }
 
 // Digest construction is on the solver's hottest path: every trial

@@ -283,9 +283,9 @@ impl EvalCache {
     }
 
     /// Publishes one `eval_cache.shard_occupancy.<i>` gauge per shard
-    /// into the installed recorder, so `dsd obs summary` and the
-    /// profile report can surface shard imbalance. A no-op when no
-    /// enabled recorder is installed; never consumes randomness.
+    /// into the installed recorder, where `dsd obs profile`'s metrics
+    /// digest lists them. A no-op when no enabled recorder is installed;
+    /// never consumes randomness.
     pub fn publish_occupancy(&self) {
         if !dsd_obs::enabled() {
             return;

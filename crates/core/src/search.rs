@@ -38,6 +38,8 @@ pub(crate) struct SearchRun<'e> {
     pub(crate) stats: SolveStats,
     best: Option<Candidate>,
     bound: Option<&'e LowerBound>,
+    /// The last incumbent cost emitted, so each one strictly improves.
+    emitted: Option<Dollars>,
 }
 
 impl<'e> SearchRun<'e> {
@@ -49,7 +51,7 @@ impl<'e> SearchRun<'e> {
     pub(crate) fn start(env: &'e Environment, budget: Budget) -> Self {
         let tracker = budget.start();
         let bound = progress::enabled().then(|| env.certified_lower_bound());
-        SearchRun { env, tracker, stats: SolveStats::default(), best: None, bound }
+        SearchRun { env, tracker, stats: SolveStats::default(), best: None, bound, emitted: None }
     }
 
     /// The best design kept so far.
@@ -74,9 +76,13 @@ impl<'e> SearchRun<'e> {
         improves
     }
 
-    /// Emits an incumbent-improved event at the current evaluation count.
-    pub(crate) fn incumbent(&self, cost: Dollars) {
-        if progress::enabled() {
+    /// Emits an incumbent-improved event at the current evaluation count
+    /// when `cost` is strictly below the last one emitted: a refit
+    /// improvement that `offer` then keeps, or a polish that changed
+    /// nothing, is not reported twice.
+    pub(crate) fn incumbent(&mut self, cost: Dollars) {
+        if progress::enabled() && self.emitted.is_none_or(|last| cost < last) {
+            self.emitted = Some(cost);
             let gap = self.gap_pct(cost);
             progress::incumbent_improved(cost.as_f64(), gap, self.stats.nodes_evaluated);
         }
@@ -99,8 +105,8 @@ impl<'e> SearchRun<'e> {
     }
 
     /// Completes the best design with a full configuration solve and
-    /// emits it as the final incumbent, so a progress log always ends at
-    /// the run's reported cost. A no-op without a best design.
+    /// emits it as the final incumbent when that lowered its cost. A
+    /// no-op without a best design.
     pub(crate) fn polish(
         &mut self,
         completer: &NodeCompleter<'_>,

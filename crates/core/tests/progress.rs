@@ -68,7 +68,7 @@ fn instrumented_solve_is_bit_identical() {
 }
 
 /// The design solver's event stream: phases are entered, incumbents
-/// improve monotonically, the final incumbent bit-matches the returned
+/// strictly improve, the final incumbent bit-matches the returned
 /// objective and its gap bit-matches a certificate over the same
 /// environment, and the stream ends with `done`.
 #[test]
@@ -96,7 +96,7 @@ fn design_solver_stream_is_ordered_and_certified() {
 
     let costs = incumbent_costs(&events);
     assert!(!costs.is_empty());
-    assert!(costs.windows(2).all(|w| w[1] <= w[0]), "incumbents never worsen: {costs:?}");
+    assert!(costs.windows(2).all(|w| w[1] < w[0]), "incumbents strictly improve: {costs:?}");
 
     let best_total = outcome.best.as_ref().expect("feasible").cost().total();
     assert_eq!(costs.last().copied().map(f64::to_bits), Some(best_total.as_f64().to_bits()));
@@ -199,7 +199,7 @@ fn disabled_channel_emits_nothing() {
 }
 
 /// All four heuristics emit progress with the same contract:
-/// a phase marker, monotone incumbents ending at the returned objective,
+/// a phase marker, strictly improving incumbents ending at the returned objective,
 /// and a final done event — without perturbing their results. Annealing
 /// and tabu keep it from an adopted start too (the portfolio's path).
 #[test]
@@ -280,7 +280,7 @@ fn heuristics_emit_monotone_incumbents() {
         );
         let costs = incumbent_costs(&events);
         assert!(!costs.is_empty(), "{phase}: incumbents emitted");
-        assert!(costs.windows(2).all(|w| w[1] <= w[0]), "{phase}: monotone {costs:?}");
+        assert!(costs.windows(2).all(|w| w[1] < w[0]), "{phase}: strictly improving {costs:?}");
         assert_eq!(
             costs.last().copied().map(f64::to_bits),
             instrumented.map(|c| c.as_f64().to_bits()),

@@ -262,44 +262,6 @@ pub fn parse_jsonl(text: &str) -> ParsedTrace {
     parsed
 }
 
-/// Cumulative statistics of one event name within a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanTotal {
-    /// Event name.
-    pub name: String,
-    /// Category.
-    pub cat: String,
-    /// Occurrences.
-    pub count: u64,
-    /// Total duration across occurrences, microseconds (zero for
-    /// instants).
-    pub total_us: f64,
-}
-
-/// Aggregates a parsed trace by event name, sorted by cumulative
-/// duration descending (instants sort by count within zero duration).
-#[must_use]
-pub fn totals_by_name(records: &[TraceRecord]) -> Vec<SpanTotal> {
-    let mut by_name: std::collections::BTreeMap<(String, String), (u64, f64)> =
-        std::collections::BTreeMap::new();
-    for r in records {
-        let entry = by_name.entry((r.name.clone(), r.cat.clone())).or_insert((0, 0.0));
-        entry.0 += 1;
-        entry.1 += r.dur_us;
-    }
-    let mut totals: Vec<SpanTotal> = by_name
-        .into_iter()
-        .map(|((name, cat), (count, total_us))| SpanTotal { name, cat, count, total_us })
-        .collect();
-    totals.sort_by(|a, b| {
-        b.total_us
-            .partial_cmp(&a.total_us)
-            .expect("durations are finite")
-            .then(b.count.cmp(&a.count))
-    });
-    totals
-}
-
 /// How one numeric series moved between two exported runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffClass {
@@ -590,22 +552,6 @@ mod tests {
         assert_eq!(parsed.records.len(), 2, "good lines survive");
         assert_eq!(parsed.skipped, 1);
         assert!(parsed.first_error.as_deref().is_some_and(|e| e.contains("line 3")));
-    }
-
-    #[test]
-    fn totals_rank_spans_by_cumulative_time() {
-        let text = "\
-{\"ts_us\":0.0,\"dur_us\":10.0,\"kind\":\"span\",\"name\":\"a\",\"cat\":\"s\",\"tid\":0}
-{\"ts_us\":1.0,\"dur_us\":50.0,\"kind\":\"span\",\"name\":\"b\",\"cat\":\"s\",\"tid\":0}
-{\"ts_us\":2.0,\"dur_us\":5.0,\"kind\":\"span\",\"name\":\"a\",\"cat\":\"s\",\"tid\":0}
-{\"ts_us\":3.0,\"dur_us\":0.0,\"kind\":\"instant\",\"name\":\"c\",\"cat\":\"s\",\"tid\":0}
-";
-        let totals = totals_by_name(&parse_jsonl(text).records);
-        assert_eq!(totals[0].name, "b");
-        assert_eq!(totals[1].name, "a");
-        assert_eq!(totals[1].count, 2);
-        assert!((totals[1].total_us - 15.0).abs() < 1e-9);
-        assert_eq!(totals[2].name, "c");
     }
 
     #[test]
