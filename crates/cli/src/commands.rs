@@ -120,7 +120,7 @@ pub fn cmd_design(
     // Attach the optimality certificate (also publishes the bound.lower /
     // bound.gap_pct gauges into any installed recorder).
     outcome.certify(&env);
-    let Some(best) = outcome.best.clone() else {
+    let Some(mut best) = outcome.best.clone() else {
         return Err("no feasible design found within the budget".into());
     };
 
@@ -200,7 +200,7 @@ pub fn cmd_design(
     }
 
     let json = SavedDesign::from_candidate(&env, &best).to_json();
-    let report = crate::report::markdown(&env, &best);
+    let report = crate::report::markdown(&env, &mut best);
     Ok((text, json, report))
 }
 
@@ -215,33 +215,31 @@ pub fn cmd_evaluate(spec_text: &str, design_text: &str) -> Result<String, Box<dy
     let env = spec.to_environment()?;
     let design = SavedDesign::from_json(design_text)?;
     let mut candidate = design.to_candidate(&env)?;
-    let cost = candidate.evaluate(&env).clone();
+    let attribution = candidate.attribution(&env);
 
     let mut out = String::new();
-    let _ = writeln!(out, "cost: {cost}");
+    let _ = writeln!(out, "cost: {}", attribution.cost);
     let _ = writeln!(out, "scenarios:");
-    let object_rate = env.failures.rates().data_object;
-    let protections = candidate.protections(&env);
-    let scenarios = env.failures.enumerate(candidate.primaries());
-    let evaluator = Evaluator::new(&env.workloads, candidate.provision(), env.recovery);
-    for scenario in &scenarios {
-        let outcome = evaluator.evaluate_scenario(&protections, &scenario.scope);
-        if outcome.outcomes.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "  {} ({}):", scenario.scope, scenario.likelihood);
-        for o in &outcome.outcomes {
+    // One group per scenario that affects an application, in fold order.
+    for group in attribution.penalty_items.chunk_by(|a, b| a.scope == b.scope) {
+        let _ = writeln!(out, "  {} ({}):", group[0].scope, group[0].likelihood);
+        for item in group {
             let _ = writeln!(
                 out,
                 "    {:<28} {:<22} outage {:<12} loss {}",
-                env.workloads[o.app].name,
-                o.path.to_string(),
-                o.recovery_time.to_string(),
-                o.loss_time
+                env.workloads[item.app].name,
+                item.path.to_string(),
+                item.recovery_time.to_string(),
+                item.loss_time
             );
         }
     }
-    let windows = evaluator.vulnerability_windows(&protections, &scenarios, object_rate);
+    let evaluator = Evaluator::new(&env.workloads, candidate.provision(), env.recovery);
+    let windows = evaluator.vulnerability_windows(
+        &candidate.protections(&env),
+        &attribution.penalty_items,
+        env.failures.rates().data_object,
+    );
     if !windows.is_empty() {
         let _ = writeln!(out, "double-failure vulnerability windows:");
         for v in &windows {

@@ -216,8 +216,9 @@ impl RunCurve {
 
     /// The live `--progress` line: elapsed time, the latest phase, the
     /// lowest cost among incumbents and `done` events with its gap, the
-    /// evaluations so far, the cooperation counts, and `done` once a
-    /// search has finished.
+    /// evaluations so far, and the cooperation counts. It never says the
+    /// run is done: a `done` event ends one search, not the solve, so the
+    /// monitor marks its final paint instead.
     #[must_use]
     pub fn status_line(&self) -> String {
         let mut out = format!("{:7.1}s", self.duration_secs());
@@ -260,9 +261,6 @@ impl RunCurve {
             if count > 0 {
                 let _ = write!(out, " {label} {count}");
             }
-        }
-        if self.events.iter().any(|e| matches!(e.kind, ProgressKind::Done { .. })) {
-            out.push_str(" done");
         }
         out
     }
@@ -607,8 +605,22 @@ mod tests {
         ));
         let line = run.status_line();
         assert!(line.contains("cost $1200"), "{line}");
-        assert!(line.contains("done"), "{line}");
         assert!(line.contains("evals 35"), "{line}");
+        assert!(!line.contains("done"), "only the monitor's final paint says done: {line}");
+    }
+
+    /// Lane 1 finishes a task before lane 2's last incumbent: the line
+    /// painted from that partial log must not claim the run is done.
+    #[test]
+    fn a_finished_task_does_not_end_the_line() {
+        let partial: String = portfolio_log().lines().take(9).map(|l| format!("{l}\n")).collect();
+        let run = RunCurve::parse("p", &partial).expect("parses");
+        let last = run.events.last().expect("events");
+        assert!(matches!(last.kind, ProgressKind::IncumbentImproved { .. }) && last.worker == 2);
+        assert!(run.events.iter().any(|e| matches!(e.kind, ProgressKind::Done { .. })));
+        let line = run.status_line();
+        assert!(line.contains("cost $1700 gap 10.0%"), "{line}");
+        assert!(!line.ends_with("done"), "lane 2 is still searching: {line}");
     }
 
     #[test]

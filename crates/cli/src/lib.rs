@@ -61,3 +61,13 @@ pub mod saved;
 pub mod spec;
 
 pub use spec::{EnvironmentSpec, SpecError};
+
+/// Writes `text` to stderr, the one path every stderr line of `dsd`
+/// takes. A write error is ignored: with stderr closed (its reader
+/// gone) there is nowhere left to report it, and the exit code still
+/// tells the outcome.
+pub fn write_stderr(text: &str) {
+    use std::io::Write as _;
+    let mut stderr = std::io::stderr().lock();
+    let _ = stderr.write_all(text.as_bytes()).and_then(|()| stderr.flush());
+}

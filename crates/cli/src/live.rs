@@ -5,9 +5,11 @@
 //! [`Recorder::progress_since`], appends them to a [`RunCurve`], and
 //! repaints its [`RunCurve::status_line`] on stderr (stderr so piped
 //! stdout stays clean). It reads without draining, so the same events
-//! still reach the trace and the `--progress-log` file afterwards.
+//! still reach the trace and the `--progress-log` file afterwards. The
+//! line says `done` only in its final paint, after
+//! [`ProgressMonitor::finish`]: the solve has returned then, whereas a
+//! `progress.done` event only ends one search (a portfolio runs many).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -20,7 +22,7 @@ use crate::convergence::RunCurve;
 /// The status-line painter behind `--progress`.
 pub struct ProgressMonitor {
     stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<RunCurve>,
+    handle: thread::JoinHandle<String>,
 }
 
 impl ProgressMonitor {
@@ -36,28 +38,29 @@ impl ProgressMonitor {
             loop {
                 let finished = stopper.load(Ordering::Acquire);
                 let fresh = recorder.progress_since(&mut cursor);
-                if !fresh.is_empty() {
-                    run.events.extend(fresh);
-                    // \r + clear-to-end keeps repaints on a single line.
-                    eprint!("\r\x1b[K{}", run.status_line());
-                    let _ = std::io::stderr().flush();
-                }
+                let repaint = !fresh.is_empty();
+                run.events.extend(fresh);
+                // \r + clear-to-end keeps repaints on a single line; the
+                // final paint leaves the status visible and restores the
+                // cursor.
                 if finished {
-                    break;
+                    let line = format!("{} done", run.status_line());
+                    crate::write_stderr(&format!("\r\x1b[K{line}\n"));
+                    return line;
+                }
+                if repaint {
+                    crate::write_stderr(&format!("\r\x1b[K{}", run.status_line()));
                 }
                 thread::sleep(Duration::from_millis(100));
             }
-            // Leave the final status visible and restore the cursor.
-            eprintln!();
-            run
         });
         ProgressMonitor { stop, handle }
     }
 
-    /// Stops the painter after one final read and returns every event it
-    /// read.
+    /// Stops the painter after one final read, which it paints marked
+    /// `done`, and returns that final line.
     #[must_use]
-    pub fn finish(self) -> RunCurve {
+    pub fn finish(self) -> String {
         self.stop.store(true, Ordering::Release);
         self.handle.join().unwrap_or_default()
     }
@@ -77,10 +80,12 @@ mod tests {
             dsd_obs::progress::incumbent_improved(10.0, Some(1.0), 5);
             dsd_obs::progress::done(Some(10.0), Some(1.0), 5);
         }
-        let line = monitor.finish().status_line();
+        let line = monitor.finish();
         assert!(line.contains("[greedy]"), "{line}");
-        assert!(line.contains("cost $10 gap 1.0% evals 5"), "{line}");
-        assert!(line.ends_with(" done"), "the final read saw every event: {line}");
+        assert!(
+            line.contains("cost $10 gap 1.0% evals 5 done"),
+            "the final read saw every event: {line}"
+        );
         assert_eq!(recorder.progress_since(&mut 0).len(), 3, "the monitor drains nothing");
     }
 }

@@ -403,8 +403,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", error_event(e.as_ref()));
+            dsd_cli::write_stderr(&format!("error: {e}\n{}\n", error_event(e.as_ref())));
             ExitCode::FAILURE
         }
     }

@@ -6,19 +6,18 @@
 use std::fmt::Write as _;
 
 use dsd_core::{Candidate, Certificate, CostAttribution, Environment, TechniqueMarginal};
-use dsd_recovery::Evaluator;
+use dsd_recovery::{Availability, Evaluator};
 use dsd_resources::{ArrayRef, DeviceRef, TapeRef};
 use dsd_units::Dollars;
 
-/// Renders a complete markdown report for an evaluated candidate.
-///
-/// # Panics
-///
-/// Panics if the candidate has not been evaluated.
+/// Renders a complete markdown report for a candidate, evaluating it
+/// first if needed. Every per-scenario table reads the line items of
+/// one [`Candidate::attribution`].
 #[must_use]
-pub fn markdown(env: &Environment, candidate: &Candidate) -> String {
+pub fn markdown(env: &Environment, candidate: &mut Candidate) -> String {
     let mut out = String::new();
-    let cost = candidate.cost();
+    let attribution = candidate.attribution(env);
+    let cost = &attribution.cost;
 
     let _ = writeln!(out, "# Dependable storage design report\n");
     let _ = writeln!(
@@ -54,19 +53,9 @@ pub fn markdown(env: &Environment, candidate: &Candidate) -> String {
     let _ = writeln!(out, "| expected loss penalty | {} |", cost.penalties.loss);
     let _ = writeln!(out, "| **total** | **{}** |", cost.total());
 
-    let protections = candidate.protections(env);
-    let scenarios = env.failures.enumerate(candidate.primaries());
-    let evaluator = Evaluator::new(&env.workloads, candidate.provision(), env.recovery);
-
     let _ = writeln!(out, "\n## Cost attribution\n");
     let _ = writeln!(out, "| resource kind | items | purchase | amortized $/yr |");
     let _ = writeln!(out, "|---|---|---|---|");
-    let attribution = CostAttribution {
-        outlay_items: candidate.provision().outlay_items(),
-        vault_media_annual: candidate.vault_media_annual(env),
-        penalty_items: evaluator.annual_penalties_attributed(&protections, &scenarios).1,
-        cost: cost.clone(),
-    };
     for (kind, purchase, n) in attribution.outlay_by_kind() {
         let _ = writeln!(
             out,
@@ -95,24 +84,25 @@ pub fn markdown(env: &Environment, candidate: &Candidate) -> String {
     let _ = writeln!(out, "\n## Recovery behavior by scenario\n");
     let _ = writeln!(out, "| scenario | likelihood | application | path | outage | loss |");
     let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for scenario in &scenarios {
-        let outcome = evaluator.evaluate_scenario(&protections, &scenario.scope);
-        for o in &outcome.outcomes {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {} |",
-                scenario.scope,
-                scenario.likelihood,
-                env.workloads[o.app].name,
-                o.path,
-                o.recovery_time,
-                o.loss_time
-            );
-        }
+    for item in &attribution.penalty_items {
+        let _ = writeln!(
+            out,
+            "| {} | {} | {} | {} | {} | {} |",
+            item.scope,
+            item.likelihood,
+            env.workloads[item.app].name,
+            item.path,
+            item.recovery_time,
+            item.loss_time
+        );
     }
 
-    let windows =
-        evaluator.vulnerability_windows(&protections, &scenarios, env.failures.rates().data_object);
+    let evaluator = Evaluator::new(&env.workloads, candidate.provision(), env.recovery);
+    let windows = evaluator.vulnerability_windows(
+        &candidate.protections(env),
+        &attribution.penalty_items,
+        env.failures.rates().data_object,
+    );
     if !windows.is_empty() {
         let _ = writeln!(out, "\n## Double-failure exposure\n");
         let _ =
@@ -137,7 +127,8 @@ pub fn markdown(env: &Environment, candidate: &Candidate) -> String {
     let _ = writeln!(out, "\n## Availability\n");
     let _ = writeln!(out, "| application | expected downtime/yr | availability | nines |");
     let _ = writeln!(out, "|---|---|---|---|");
-    for a in evaluator.availability(&protections, &scenarios) {
+    let apps = candidate.assignments().keys().copied();
+    for a in Availability::from_items(apps, &attribution.penalty_items) {
         let _ = writeln!(
             out,
             "| {} | {} | {:.5} | {:.1} |",
@@ -334,9 +325,9 @@ mod tests {
     fn report_contains_every_section() {
         let env = peer_sites();
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let best =
+        let mut best =
             DesignSolver::new(&env).solve(Budget::iterations(20), &mut rng).best.expect("feasible");
-        let report = markdown(&env, &best);
+        let report = markdown(&env, &mut best);
         for heading in [
             "# Dependable storage design report",
             "## Chosen design",
@@ -360,11 +351,11 @@ mod tests {
     fn report_includes_vulnerability_when_failover_present() {
         let env = peer_sites();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let best =
+        let mut best =
             DesignSolver::new(&env).solve(Budget::iterations(30), &mut rng).best.expect("feasible");
         let has_failover =
             best.assignments().values().any(|a| env.catalog[a.technique].is_failover());
-        let report = markdown(&env, &best);
+        let report = markdown(&env, &mut best);
         assert_eq!(report.contains("## Double-failure exposure"), has_failover);
     }
 }

@@ -14,6 +14,17 @@ use dsd_units::TimeSpan;
 use dsd_units::{DollarsPerHour, Gigabytes, MegabytesPerSec, PerYear};
 use dsd_workload::{PenaltyRates, PenaltySchedule, WorkloadProfile, WorkloadSet};
 
+/// The most applications a spec may declare: the sum of every entry's
+/// `count`. It is sixteen times fleet(256), the largest environment the
+/// repository generates, whose one-iteration greedy solve already runs
+/// for minutes (`large_fleets_are_solvable`, ignored in tier-1). Every
+/// application adds scenarios that each evaluation walks and placements
+/// that each greedy pass prices, so the work grows faster than the
+/// count: no search over more would finish, and a typo in the billions
+/// would otherwise allocate one workload per unit until the process is
+/// killed.
+pub const MAX_APPLICATIONS: usize = 4096;
+
 /// Errors raised while parsing or validating a spec.
 #[derive(Debug)]
 pub enum SpecError {
@@ -289,17 +300,29 @@ impl EnvironmentSpec {
             return Err(SpecError::Invalid("at least one site is required".into()));
         }
 
+        let total = self
+            .applications
+            .iter()
+            .try_fold(0usize, |total, entry| total.checked_add(entry.count.unwrap_or(1)));
+        match total {
+            Some(0) => {
+                return Err(SpecError::Invalid(
+                    "every application entry has `count = 0`; nothing to protect".into(),
+                ))
+            }
+            Some(total) if total <= MAX_APPLICATIONS => {}
+            _ => {
+                return Err(SpecError::Invalid(format!(
+                    "the application counts sum to more than {MAX_APPLICATIONS} applications"
+                )))
+            }
+        }
         let mut workloads = WorkloadSet::new();
         for entry in &self.applications {
             let profile = entry.to_profile()?;
             for _ in 0..entry.count.unwrap_or(1) {
                 workloads.push(profile.clone());
             }
-        }
-        if workloads.is_empty() {
-            return Err(SpecError::Invalid(
-                "every application entry has `count = 0`; nothing to protect".into(),
-            ));
         }
 
         let sites = self
@@ -568,6 +591,29 @@ mod tests {
         }
         let err = spec.to_environment().unwrap_err();
         assert!(err.to_string().contains("count = 0"));
+    }
+
+    #[test]
+    fn application_counts_are_capped() {
+        let text =
+            EnvironmentSpec::example().to_toml().replacen("count = 2", "count = 4000000000", 1);
+        let err = EnvironmentSpec::from_toml(&text).unwrap().to_environment().unwrap_err();
+        assert!(matches!(err, SpecError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(&MAX_APPLICATIONS.to_string()), "{err}");
+
+        // A sum that overflows is rejected the same way; the cap itself
+        // is allowed.
+        let mut spec = EnvironmentSpec::example();
+        spec.applications[0].count = Some(usize::MAX);
+        assert!(matches!(spec.to_environment(), Err(SpecError::Invalid(_))));
+        let mut spec = EnvironmentSpec::example();
+        spec.applications.truncate(1);
+        spec.applications[0].count = Some(MAX_APPLICATIONS);
+        spec.applications.push(spec.applications[0].clone());
+        spec.applications[1].count = Some(1);
+        assert!(spec.to_environment().is_err(), "one over the cap");
+        spec.applications[1].count = Some(0);
+        assert_eq!(spec.to_environment().expect("at the cap").workloads.len(), MAX_APPLICATIONS);
     }
 
     #[test]

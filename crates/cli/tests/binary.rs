@@ -125,6 +125,36 @@ fn a_closed_stdout_ends_dsd_quietly() {
     assert!(stderr.is_empty(), "nothing on stderr, no panic: {stderr}");
 }
 
+/// A closed stderr (its reader gone) must not turn an error into a
+/// panic: `dsd` still ends with the error's exit code 1.
+#[test]
+fn a_closed_stderr_still_exits_1_on_an_error() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = dsd().args(["tables", "--seed", "3"]).stderr(writer).output().expect("runs");
+    assert_eq!(out.status.code(), Some(1), "an error, not a panic (101)");
+}
+
+/// A spec whose application counts sum past the loader's cap is
+/// rejected before any workload is built, with the typed error and
+/// exit code 1.
+#[test]
+fn a_huge_application_count_is_rejected() {
+    let dir = std::env::temp_dir().join(format!("dsd-count-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("env.toml");
+    let init = dsd().arg("init").output().expect("runs");
+    assert!(init.status.success());
+    let spec = String::from_utf8_lossy(&init.stdout).replacen("count = 2", "count = 4000000000", 1);
+    assert!(spec.contains("count = 4000000000"), "{spec}");
+    std::fs::write(&spec_path, spec).unwrap();
+    let out = dsd().args(["design", spec_path.to_str().unwrap()]).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid spec:") && stderr.contains("4096"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every failure must exit nonzero AND emit a machine-readable error
 /// event on stderr alongside the human-readable line.
 #[test]
@@ -586,6 +616,7 @@ fn design_live_line_and_curve_count_the_same_evaluations() {
     let stderr = String::from_utf8_lossy(&design.stderr);
     let last_line = stderr.rsplit('\r').next().unwrap_or_default();
     let live = number_after(last_line, " evals ");
+    assert!(last_line.trim_end().ends_with(" done"), "the final paint says done: {last_line}");
 
     let curve = dsd().args(["obs", "curve"]).arg(&progress_path).output().expect("runs");
     assert!(curve.status.success(), "{}", String::from_utf8_lossy(&curve.stderr));

@@ -602,7 +602,7 @@ impl Candidate {
             let protections = self.protections(env);
             let scenarios = env.failures.enumerate(self.primaries());
             let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
-            let (penalties, _) = evaluator.annual_penalties(&protections, &scenarios);
+            let penalties = evaluator.annual_penalties(&protections, &scenarios);
             let outlay = self.provision.annual_outlay() + self.vault_media_annual(env);
             self.cost = Some(CostBreakdown { outlay, penalties });
         }
@@ -653,7 +653,7 @@ impl Candidate {
             }
             let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
             let penalties =
-                evaluator.annual_penalties_cached_totals(protections, scenarios, digests, cache);
+                evaluator.annual_penalties_cached(protections, scenarios, digests, cache);
             let outlay = self.provision.annual_outlay() + self.vault_media_annual(env);
             self.cost = Some(CostBreakdown { outlay, penalties });
         }

@@ -1,7 +1,8 @@
 //! Oracle-equivalence property suite for incremental (delta) evaluation:
-//! random move sequences on random environments must produce totals —
-//! and per-scenario `details`, in order — bit-identical to a fresh full
-//! evaluation, and apply→undo must restore the exact candidate state.
+//! random move sequences on random environments must produce totals
+//! bit-identical to a fresh full evaluation, with every scenario's
+//! cached outcome equal to a fresh one, and apply→undo must restore the
+//! exact candidate state.
 
 use dsd_core::{
     scenario_digests, Candidate, CandidateKey, ConfigurationSolver, Environment, Move,
@@ -103,7 +104,7 @@ fn oracle(env: &Environment, candidate: &Candidate) -> dsd_core::CostBreakdown {
     let protections = candidate.protections(env);
     let scenarios = env.failures.enumerate(candidate.primaries());
     let evaluator = Evaluator::new(&env.workloads, candidate.provision(), env.recovery);
-    let (penalties, _) = evaluator.annual_penalties(&protections, &scenarios);
+    let penalties = evaluator.annual_penalties(&protections, &scenarios);
     let outlay = candidate.provision().annual_outlay() + candidate.vault_media_annual(env);
     dsd_core::CostBreakdown { outlay, penalties }
 }
@@ -131,8 +132,8 @@ proptest! {
 
     /// Random move sequences: after every applied move (some kept, some
     /// undone), the delta-evaluated cost must be bit-identical to the
-    /// fresh full oracle, and the cached evaluator's per-scenario
-    /// `details` must match the uncached evaluator's exactly, in order.
+    /// fresh full oracle, and every scenario of the current design must
+    /// hit the cache with an outcome equal to a fresh evaluation.
     #[test]
     fn delta_evaluation_matches_the_full_oracle(
         seed in 0u64..1000,
@@ -153,20 +154,20 @@ proptest! {
             };
             assert_cost_bits_equal(&delta_cost, &oracle(&env, &c));
 
-            // The cached evaluator must also reproduce the oracle's
-            // per-scenario details, in scenario order.
+            // The delta evaluation just replayed or stored every scenario
+            // of the current design: each must hit the cache (a miss
+            // panics) with the outcome a fresh evaluation gives.
             let protections = c.protections(&env);
             let scenarios = env.failures.enumerate(c.primaries());
             let digests = scenario_digests(&c, &scenarios);
             let evaluator = Evaluator::new(&env.workloads, c.provision(), env.recovery);
-            let (_, full_details) = evaluator.annual_penalties(&protections, &scenarios);
-            let (_, cached_details) = evaluator.annual_penalties_cached(
-                &protections,
-                &scenarios,
-                &digests,
-                &mut scache,
-            );
-            prop_assert_eq!(&full_details, &cached_details, "step {} details diverge", step);
+            for (scenario, &digest) in scenarios.iter().zip(&digests) {
+                let fresh = evaluator.evaluate_scenario(&protections, &scenario.scope);
+                let cached = scache.get_or_insert_with(&scenario.scope, digest, || {
+                    panic!("step {step}: {} missed the cache", scenario.scope)
+                });
+                prop_assert_eq!(cached, &fresh, "step {} outcomes diverge", step);
+            }
 
             if !keep {
                 c.undo_move(undo);

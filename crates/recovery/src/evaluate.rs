@@ -1,6 +1,5 @@
 //! Scenario evaluation: loss times, recovery times, expected penalties.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,7 +77,10 @@ pub struct ScenarioOutcome {
 
 /// One likelihood-weighted penalty line item: a single
 /// (application × failure scenario) cell of the paper's penalty tables
-/// (§3, Tables 4–6), with the weighting shown explicitly.
+/// (§3, Tables 4–6), with the weighting shown explicitly. It holds
+/// everything the cell's [`AppOutcome`] holds, so every per-scenario
+/// report (recovery tables, availability, double-failure windows) reads
+/// the items instead of re-running the scheduler.
 ///
 /// Items are recorded in the exact order the accumulation visits them
 /// (scenario order, then app order within a scenario), so folding
@@ -98,6 +100,10 @@ pub struct PenaltyItem {
     pub recovery_time: TimeSpan,
     /// Recent data loss time in this scenario.
     pub loss_time: TimeSpan,
+    /// When the application is back home after a failover or mirror
+    /// promotion (see [`AppOutcome::failback_time`]); `None` for
+    /// in-place restores.
+    pub failback_time: Option<TimeSpan>,
     /// Unweighted outage penalty (per occurrence of the scenario).
     pub outage_raw: Dollars,
     /// Unweighted recent-loss penalty (per occurrence of the scenario).
@@ -176,6 +182,31 @@ pub struct Availability {
 }
 
 impl Availability {
+    /// Expected annual downtime and availability of each of `apps`: the
+    /// likelihood-weighted sum of its recovery times over `items`,
+    /// against the 8760-hour year. An app no item names was never
+    /// affected and is fully available. The sums run in item order, so
+    /// they are the same bits whichever way the items were recorded.
+    #[must_use]
+    pub fn from_items(
+        apps: impl IntoIterator<Item = AppId>,
+        items: &[PenaltyItem],
+    ) -> Vec<Availability> {
+        let mut downtime: BTreeMap<AppId, f64> = apps.into_iter().map(|app| (app, 0.0)).collect();
+        for item in items {
+            *downtime.entry(item.app).or_insert(0.0) +=
+                item.likelihood.as_f64() * item.recovery_time.as_hours();
+        }
+        downtime
+            .into_iter()
+            .map(|(app, hours)| Availability {
+                app,
+                expected_annual_downtime: TimeSpan::from_hours(hours.min(f64::MAX / 2.0)),
+                availability: (1.0 - hours / dsd_units::HOURS_PER_YEAR).clamp(0.0, 1.0),
+            })
+            .collect()
+    }
+
     /// The "number of nines" of the availability (e.g. 0.9995 → 3.3).
     #[must_use]
     pub fn nines(&self) -> f64 {
@@ -190,9 +221,9 @@ impl Availability {
 /// Evaluates designs against failure scenarios (paper §3.2).
 #[derive(Debug, Clone, Copy)]
 pub struct Evaluator<'a> {
-    workloads: &'a WorkloadSet,
+    pub(crate) workloads: &'a WorkloadSet,
     provision: &'a Provision,
-    policy: RecoveryPolicy,
+    pub(crate) policy: RecoveryPolicy,
 }
 
 impl<'a> Evaluator<'a> {
@@ -205,26 +236,6 @@ impl<'a> Evaluator<'a> {
         policy: RecoveryPolicy,
     ) -> Self {
         Evaluator { workloads, provision, policy }
-    }
-
-    /// The policy in use.
-    #[must_use]
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
-    }
-
-    /// The workload set this evaluator prices against.
-    #[must_use]
-    pub fn workloads(&self) -> &WorkloadSet {
-        self.workloads
-    }
-
-    /// Bandwidth available to a stream of `app` on device `d` (the app's
-    /// own allocation plus the device's spare); exposed for the
-    /// vulnerability analysis.
-    #[must_use]
-    pub fn stream_rate_public(&self, app: AppId, d: DeviceRef) -> MegabytesPerSec {
-        self.stream_rate(app, d)
     }
 
     /// Propagation delays of `protection`'s copy hierarchy given the
@@ -254,7 +265,7 @@ impl<'a> Evaluator<'a> {
 
     /// Bandwidth available to a stream of `app` on device `d`: the app's
     /// own allocation plus the device's spare.
-    fn stream_rate(&self, app: AppId, d: DeviceRef) -> MegabytesPerSec {
+    pub(crate) fn stream_rate(&self, app: AppId, d: DeviceRef) -> MegabytesPerSec {
         self.provision.app_alloc_bandwidth_on(app, d) + self.provision.spare_bandwidth(d)
     }
 
@@ -455,47 +466,16 @@ impl<'a> Evaluator<'a> {
         ScenarioOutcome { scope: *scope, outcomes }
     }
 
-    /// Expected annual downtime and availability per application: the
-    /// likelihood-weighted sum of recovery times over all scenarios,
-    /// against the 8760-hour year.
-    #[must_use]
-    pub fn availability(
-        &self,
-        protections: &[AppProtection],
-        scenarios: &[FailureScenario],
-    ) -> Vec<Availability> {
-        let mut downtime: BTreeMap<AppId, f64> = BTreeMap::new();
-        for p in protections {
-            downtime.insert(p.app, 0.0);
-        }
-        for scenario in scenarios {
-            let outcome = self.evaluate_scenario(protections, &scenario.scope);
-            for o in &outcome.outcomes {
-                *downtime.entry(o.app).or_insert(0.0) +=
-                    scenario.likelihood.as_f64() * o.recovery_time.as_hours();
-            }
-        }
-        downtime
-            .into_iter()
-            .map(|(app, hours)| Availability {
-                app,
-                expected_annual_downtime: TimeSpan::from_hours(hours.min(f64::MAX / 2.0)),
-                availability: (1.0 - hours / dsd_units::HOURS_PER_YEAR).clamp(0.0, 1.0),
-            })
-            .collect()
-    }
-
-    /// Expected annual penalties over all `scenarios`, plus the detailed
-    /// per-scenario outcomes (paper §2.5: each scenario's outage and loss
-    /// penalties weighted by its annual likelihood and summed).
+    /// Expected annual penalties over all `scenarios` (paper §2.5: each
+    /// scenario's outage and loss penalties weighted by its annual
+    /// likelihood and summed).
     #[must_use]
     pub fn annual_penalties(
         &self,
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
-    ) -> (PenaltySummary, Vec<ScenarioOutcome>) {
-        let details = Vec::with_capacity(scenarios.len());
-        self.fold_penalties(protections, scenarios, Outcomes::Computed, details)
+    ) -> PenaltySummary {
+        self.fold_penalties(protections, scenarios, Outcomes::Computed, ()).0
     }
 
     /// [`Self::annual_penalties`] with full cost attribution: alongside
@@ -517,10 +497,11 @@ impl<'a> Evaluator<'a> {
 
     /// [`Self::annual_penalties`] with scope-keyed scenario memoization:
     /// a scenario whose dependency-slice digest matches a cached entry
-    /// replays the stored outcome instead of re-scheduling it. The
-    /// likelihood-weighted accumulation runs through the same code as
-    /// the uncached path, so the totals are bit-identical whenever every
-    /// replayed outcome is (the digest's contract).
+    /// replays the stored outcome, without a clone, instead of
+    /// re-scheduling it. The likelihood-weighted accumulation runs
+    /// through the same code as the uncached path, so the totals are
+    /// bit-identical whenever every replayed outcome is (the digest's
+    /// contract).
     ///
     /// `digests[i]` must be the dependency-slice digest of
     /// `scenarios[i]` for the provision this evaluator was built over —
@@ -539,26 +520,6 @@ impl<'a> Evaluator<'a> {
         scenarios: &[FailureScenario],
         digests: &[ScenarioDigest],
         cache: &mut ScenarioOutcomeCache,
-    ) -> (PenaltySummary, Vec<ScenarioOutcome>) {
-        let details = Vec::with_capacity(scenarios.len());
-        self.fold_penalties(protections, scenarios, Outcomes::Cached { digests, cache }, details)
-    }
-
-    /// [`Self::annual_penalties_cached`] without materializing the
-    /// per-scenario details: the solver's trial loop only needs the
-    /// totals, and skipping the details vector means a cache hit replays
-    /// an outcome without a single clone.
-    ///
-    /// # Panics
-    ///
-    /// If `digests.len() != scenarios.len()`.
-    #[must_use]
-    pub fn annual_penalties_cached_totals(
-        &self,
-        protections: &[AppProtection],
-        scenarios: &[FailureScenario],
-        digests: &[ScenarioDigest],
-        cache: &mut ScenarioOutcomeCache,
     ) -> PenaltySummary {
         self.fold_penalties(protections, scenarios, Outcomes::Cached { digests, cache }, ()).0
     }
@@ -566,10 +527,10 @@ impl<'a> Evaluator<'a> {
     /// The one penalty fold behind every `annual_penalties*` entry point:
     /// takes each scenario's outcome from `source`, adds its
     /// likelihood-weighted outage and loss penalties to the summary in
-    /// scenario order (then app order), and hands the outcome and the
-    /// per-app line items to `collect`. Every entry point thus performs
-    /// literally the same floating-point operations in the same order,
-    /// so cached, attributed and plain totals are bit-identical.
+    /// scenario order (then app order), and hands the per-app line items
+    /// to `collect`. Every entry point thus performs literally the same
+    /// floating-point operations in the same order, so cached, attributed
+    /// and plain totals are bit-identical.
     fn fold_penalties<C: Collect>(
         &self,
         protections: &[AppProtection],
@@ -584,14 +545,16 @@ impl<'a> Evaluator<'a> {
         penalties_span.arg("scenarios", scenarios.len());
         let mut summary = PenaltySummary::default();
         for (i, scenario) in scenarios.iter().enumerate() {
+            let computed;
             let outcome = match &mut source {
                 Outcomes::Computed => {
-                    Cow::Owned(self.evaluate_scenario(protections, &scenario.scope))
+                    computed = self.evaluate_scenario(protections, &scenario.scope);
+                    &computed
                 }
                 Outcomes::Cached { digests, cache } => {
-                    Cow::Borrowed(cache.get_or_insert_with(&scenario.scope, digests[i], || {
+                    cache.get_or_insert_with(&scenario.scope, digests[i], || {
                         self.evaluate_scenario(protections, &scenario.scope)
-                    }))
+                    })
                 }
             };
             for o in &outcome.outcomes {
@@ -612,13 +575,13 @@ impl<'a> Evaluator<'a> {
                     path: o.path,
                     recovery_time: o.recovery_time,
                     loss_time: o.loss_time,
+                    failback_time: o.failback_time,
                     outage_raw,
                     loss_raw,
                     outage,
                     loss,
                 });
             }
-            collect.outcome(outcome);
         }
         (summary, collect)
     }
@@ -633,24 +596,15 @@ enum Outcomes<'c> {
 }
 
 /// What [`Evaluator::fold_penalties`] keeps besides the totals: nothing
-/// (`()`), the per-scenario outcomes, or the per-app [`PenaltyItem`]s.
-/// The weighted `outage` / `loss` in each item are the very values added
-/// to the summary, so an in-order fold of the items reproduces it
-/// bit-for-bit.
+/// (`()`), or the per-app [`PenaltyItem`]s. The weighted `outage` /
+/// `loss` in each item are the very values added to the summary, so an
+/// in-order fold of the items reproduces it bit-for-bit.
 trait Collect {
     /// One (scenario × affected application) line item, in fold order.
     fn item(&mut self, _item: PenaltyItem) {}
-    /// One scenario's outcome, after its items.
-    fn outcome(&mut self, _outcome: Cow<'_, ScenarioOutcome>) {}
 }
 
 impl Collect for () {}
-
-impl Collect for Vec<ScenarioOutcome> {
-    fn outcome(&mut self, outcome: Cow<'_, ScenarioOutcome>) {
-        self.push(outcome.into_owned());
-    }
-}
 
 impl Collect for Vec<PenaltyItem> {
     fn item(&mut self, item: PenaltyItem) {
@@ -861,10 +815,10 @@ mod tests {
         let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
         let model = FailureModel::new(FailureRates::case_study());
         let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
-        let (summary, details) = ev.annual_penalties(std::slice::from_ref(&prot), &scenarios);
+        let summary = ev.annual_penalties(std::slice::from_ref(&prot), &scenarios);
         assert!(summary.is_finite());
         assert!(summary.total().as_f64() > 0.0);
-        assert_eq!(details.len(), 3);
+        assert_eq!(scenarios.len(), 3);
         let (o, l) = summary.per_app[&AppId(0)];
         assert!((summary.outage.as_f64() - o.as_f64()).abs() < 1e-6);
         assert!((summary.loss.as_f64() - l.as_f64()).abs() < 1e-6);
@@ -877,7 +831,7 @@ mod tests {
                 likelihood: PerYear::new(s.likelihood.as_f64() * 2.0),
             })
             .collect();
-        let (summary2, _) = ev.annual_penalties(std::slice::from_ref(&prot), &doubled);
+        let summary2 = ev.annual_penalties(std::slice::from_ref(&prot), &doubled);
         assert!((summary2.total().as_f64() - 2.0 * summary.total().as_f64()).abs() < 1e-3);
     }
 
@@ -888,13 +842,30 @@ mod tests {
         let model = FailureModel::new(FailureRates::case_study());
         let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
 
-        let (plain, details) = ev.annual_penalties(std::slice::from_ref(&prot), &scenarios);
+        let plain = ev.annual_penalties(std::slice::from_ref(&prot), &scenarios);
         let (attributed, items) =
             ev.annual_penalties_attributed(std::slice::from_ref(&prot), &scenarios);
         assert_eq!(plain, attributed, "attribution must not perturb the totals");
 
-        let outcomes: usize = details.iter().map(|d| d.outcomes.len()).sum();
-        assert_eq!(items.len(), outcomes, "one item per (scenario x affected app)");
+        // One item per (scenario x affected app), holding the outcome.
+        let outcomes: Vec<(FailureScope, AppOutcome)> = scenarios
+            .iter()
+            .flat_map(|s| {
+                let outcome = ev.evaluate_scenario(std::slice::from_ref(&prot), &s.scope);
+                outcome.outcomes.into_iter().map(move |o| (outcome.scope, o))
+            })
+            .collect();
+        assert_eq!(items.len(), outcomes.len(), "one item per (scenario x affected app)");
+        for (item, (scope, o)) in items.iter().zip(&outcomes) {
+            let recorded = AppOutcome {
+                app: item.app,
+                path: item.path,
+                recovery_time: item.recovery_time,
+                loss_time: item.loss_time,
+                failback_time: item.failback_time,
+            };
+            assert_eq!((item.scope, recorded), (*scope, *o));
+        }
 
         let (outage, loss) = PenaltyItem::fold_totals(&items);
         assert_eq!(outage.as_f64().to_bits(), plain.outage.as_f64().to_bits());
@@ -914,23 +885,14 @@ mod tests {
         let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
         let digests: Vec<ScenarioDigest> =
             (0..scenarios.len()).map(|i| ScenarioDigest(i as u64, !(i as u64))).collect();
+        let protections = std::slice::from_ref(&prot);
 
-        let (full, full_details) = ev.annual_penalties(std::slice::from_ref(&prot), &scenarios);
+        let full = ev.annual_penalties(protections, &scenarios);
         let mut cache = ScenarioOutcomeCache::new();
-        let (cold, cold_details) = ev.annual_penalties_cached(
-            std::slice::from_ref(&prot),
-            &scenarios,
-            &digests,
-            &mut cache,
-        );
+        let cold = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
         assert_eq!(cache.recomputed(), scenarios.len() as u64);
         assert_eq!(cache.hits(), 0);
-        let (warm, warm_details) = ev.annual_penalties_cached(
-            std::slice::from_ref(&prot),
-            &scenarios,
-            &digests,
-            &mut cache,
-        );
+        let warm = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
         assert_eq!(cache.hits(), scenarios.len() as u64, "second pass is all hits");
 
         for (a, b) in [(&full, &cold), (&full, &warm)] {
@@ -943,8 +905,14 @@ mod tests {
                 assert_eq!(va.1.as_f64().to_bits(), vb.1.as_f64().to_bits());
             }
         }
-        assert_eq!(full_details, cold_details, "details order and content match");
-        assert_eq!(full_details, warm_details);
+        // Every cached outcome is the fresh one, in scenario order.
+        for (scenario, &digest) in scenarios.iter().zip(&digests) {
+            let fresh = ev.evaluate_scenario(protections, &scenario.scope);
+            let cached = cache.get_or_insert_with(&scenario.scope, digest, || {
+                panic!("{} was not cached", scenario.scope)
+            });
+            assert_eq!(cached, &fresh);
+        }
     }
 
     #[test]
@@ -963,30 +931,30 @@ mod tests {
             let _ = ev.annual_penalties(protections, &scenarios);
             let _ = ev.annual_penalties_attributed(protections, &scenarios);
             let _ = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
-            let _ =
-                ev.annual_penalties_cached_totals(protections, &scenarios, &digests, &mut cache);
         }
         let spans = recorder
             .drain_events()
             .iter()
             .filter(|e| e.name == "recovery.annual_penalties")
             .count();
-        assert_eq!(spans, 4, "one fold span per call, whatever the entry point");
+        assert_eq!(spans, 3, "one fold span per call, whatever the entry point");
     }
 
     #[test]
     fn availability_reflects_recovery_speed() {
         let model = FailureModel::new(FailureRates::case_study());
+        let availability = |technique: &str| {
+            let (w, p, prot) = setup(technique);
+            let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
+            let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
+            let (_, items) =
+                ev.annual_penalties_attributed(std::slice::from_ref(&prot), &scenarios);
+            Availability::from_items([prot.app], &items)[0]
+        };
         // Failover design: minutes of downtime per event.
-        let (w, p, prot) = setup("sync mirror (F) with backup");
-        let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
-        let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
-        let fast = ev.availability(std::slice::from_ref(&prot), &scenarios)[0];
+        let fast = availability("sync mirror (F) with backup");
         // Backup-only design: days of downtime per event.
-        let (w2, p2, prot2) = setup("tape backup");
-        let ev2 = Evaluator::new(&w2, &p2, RecoveryPolicy::default());
-        let scenarios2 = model.enumerate([(AppId(0), prot2.placement.primary)]);
-        let slow = ev2.availability(std::slice::from_ref(&prot2), &scenarios2)[0];
+        let slow = availability("tape backup");
 
         assert!(fast.availability > slow.availability);
         assert!(fast.nines() > 3.0, "failover gives several nines: {}", fast.nines());
@@ -998,6 +966,12 @@ mod tests {
             slow.expected_annual_downtime
         );
         assert!((0.0..=1.0).contains(&slow.availability));
+
+        // An app no scenario affects is fully available.
+        let idle = Availability::from_items([AppId(3)], &[])[0];
+        assert_eq!((idle.app, idle.availability), (AppId(3), 1.0));
+        assert!(idle.expected_annual_downtime.is_zero());
+        assert_eq!(idle.nines(), f64::INFINITY);
     }
 
     #[test]

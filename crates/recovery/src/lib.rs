@@ -19,12 +19,20 @@
 //!
 //! The main entry point is [`Evaluator`]. Inputs are the per-application
 //! [`AppProtection`] records (technique + configuration + [`Placement`]),
-//! the provisioned infrastructure, and a failure scenario list.
+//! the provisioned infrastructure, and a failure scenario list. One
+//! penalty fold prices every scenario, with three ways in: the totals
+//! ([`Evaluator::annual_penalties`]), the totals with scope-keyed
+//! memoization ([`Evaluator::annual_penalties_cached`]), and the totals
+//! with one [`PenaltyItem`] per (scenario × affected application)
+//! ([`Evaluator::annual_penalties_attributed`]). The items are the one
+//! per-scenario record the reports read: [`Availability::from_items`]
+//! and [`Evaluator::vulnerability_windows`] fold them without
+//! scheduling a recovery again.
 //!
 //! # Examples
 //!
-//! See `Evaluator::annual_penalties` and the integration tests; building
-//! a full input requires workloads, a topology and a provision.
+//! See the integration tests; building a full input requires
+//! workloads, a topology and a provision.
 
 mod evaluate;
 mod policy;
@@ -40,6 +48,6 @@ pub use evaluate::{
 pub use policy::RecoveryPolicy;
 pub use protection::{AppProtection, Placement};
 pub use scenario_cache::{ScenarioDigest, ScenarioOutcomeCache, SCENARIO_CACHE_WAYS};
-pub use scheduler::{schedule_jobs, schedule_jobs_with, RecoveryJob, Schedule, SchedulingPolicy};
+pub use scheduler::{schedule_jobs_with, RecoveryJob, Schedule, SchedulingPolicy};
 pub use survival::surviving_copies;
 pub use vulnerability::VulnerabilityWindow;

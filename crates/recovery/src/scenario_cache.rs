@@ -96,17 +96,6 @@ impl ScenarioOutcomeCache {
         Self::default()
     }
 
-    /// Looks up the outcome for `scope` under `digest`, promoting a hit
-    /// to the front of the scope's MRU set.
-    pub fn get(&mut self, scope: &FailureScope, digest: ScenarioDigest) -> Option<ScenarioOutcome> {
-        let ways = self.entries.get_mut(scope)?;
-        let pos = ways.iter().position(|(d, _)| *d == digest)?;
-        ways[..=pos].rotate_right(1);
-        self.hits += 1;
-        dsd_obs::add("eval.delta_hits", 1);
-        Some(ways[0].1.clone())
-    }
-
     /// Looks up the outcome for `scope` under `digest`, computing and
     /// storing it via `fresh` on a miss. Returns a reference into the
     /// cache — the hot path (the solver's trial loop) replays an outcome
@@ -131,17 +120,6 @@ impl ScenarioOutcomeCache {
         &ways[0].1
     }
 
-    /// Records a freshly computed outcome at the front of the scope's
-    /// MRU set, evicting the least recently used entry beyond
-    /// [`SCENARIO_CACHE_WAYS`].
-    pub fn put(&mut self, scope: FailureScope, digest: ScenarioDigest, outcome: ScenarioOutcome) {
-        let ways = self.entries.entry(scope).or_default();
-        ways.insert(0, (digest, outcome));
-        ways.truncate(SCENARIO_CACHE_WAYS);
-        self.recomputed += 1;
-        dsd_obs::add("eval.scenarios_recomputed", 1);
-    }
-
     /// Number of cache hits served so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -152,23 +130,6 @@ impl ScenarioOutcomeCache {
     #[must_use]
     pub fn recomputed(&self) -> u64 {
         self.recomputed
-    }
-
-    /// Number of distinct scopes with at least one cached outcome.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops all cached outcomes (counters are preserved).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -181,15 +142,22 @@ mod tests {
         ScenarioOutcome { scope, outcomes: Vec::new() }
     }
 
+    /// Probes `digest` under `scope`: `true` on a hit, `false` when the
+    /// outcome had to be computed (and was stored).
+    fn hit(cache: &mut ScenarioOutcomeCache, scope: FailureScope, digest: ScenarioDigest) -> bool {
+        let hits = cache.hits();
+        let replayed = cache.get_or_insert_with(&scope, digest, || outcome(scope));
+        assert_eq!(replayed.scope, scope);
+        cache.hits() > hits
+    }
+
     #[test]
-    fn get_miss_then_put_then_hit() {
+    fn miss_stores_then_hit_replays() {
         let scope = FailureScope::DataObject { app: AppId(0) };
         let mut cache = ScenarioOutcomeCache::new();
         let digest = ScenarioDigest(1, 2);
-        assert!(cache.get(&scope, digest).is_none());
-        cache.put(scope, digest, outcome(scope));
-        let hit = cache.get(&scope, digest).expect("stored outcome is found");
-        assert_eq!(hit.scope, scope);
+        assert!(!hit(&mut cache, scope, digest), "an empty cache misses");
+        assert!(hit(&mut cache, scope, digest), "the stored outcome is found");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.recomputed(), 1);
     }
@@ -199,18 +167,17 @@ mod tests {
         let scope = FailureScope::DataObject { app: AppId(7) };
         let mut cache = ScenarioOutcomeCache::new();
         for i in 0..SCENARIO_CACHE_WAYS as u64 {
-            cache.put(scope, ScenarioDigest(i, i), outcome(scope));
+            assert!(!hit(&mut cache, scope, ScenarioDigest(i, i)));
         }
         for i in 0..SCENARIO_CACHE_WAYS as u64 {
-            assert!(cache.get(&scope, ScenarioDigest(i, i)).is_some(), "way {i} retained");
+            assert!(hit(&mut cache, scope, ScenarioDigest(i, i)), "way {i} retained");
         }
-        // One more evicts the least recently used (digest 0 was touched
-        // first in the probe loop above, so the LRU is digest 1... after
-        // the probes the MRU order is 3,2,1,0 reversed: probes promoted
-        // 0,1,2,3 in turn, leaving 3 most recent and 0 least).
-        cache.put(scope, ScenarioDigest(99, 99), outcome(scope));
-        assert!(cache.get(&scope, ScenarioDigest(0, 0)).is_none(), "LRU way evicted");
-        assert!(cache.get(&scope, ScenarioDigest(99, 99)).is_some());
+        // The probes promoted 0, 1, 2, 3 in turn, leaving 3 the most
+        // recently used way and 0 the least; one more digest evicts 0.
+        assert!(!hit(&mut cache, scope, ScenarioDigest(99, 99)));
+        assert!(hit(&mut cache, scope, ScenarioDigest(99, 99)));
+        assert!(!hit(&mut cache, scope, ScenarioDigest(0, 0)), "LRU way evicted");
+        assert_eq!(cache.recomputed(), SCENARIO_CACHE_WAYS as u64 + 2);
     }
 
     #[test]
@@ -218,11 +185,10 @@ mod tests {
         let a = FailureScope::DataObject { app: AppId(0) };
         let b = FailureScope::DataObject { app: AppId(1) };
         let mut cache = ScenarioOutcomeCache::new();
-        cache.put(a, ScenarioDigest(5, 5), outcome(a));
-        assert!(cache.get(&b, ScenarioDigest(5, 5)).is_none());
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(&a, ScenarioDigest(5, 5)).is_none());
+        assert!(!hit(&mut cache, a, ScenarioDigest(5, 5)));
+        assert!(!hit(&mut cache, b, ScenarioDigest(5, 5)), "same digest, other scope");
+        assert!(hit(&mut cache, a, ScenarioDigest(5, 5)));
+        assert!(hit(&mut cache, b, ScenarioDigest(5, 5)));
+        assert_eq!((cache.hits(), cache.recomputed()), (2, 2));
     }
 }

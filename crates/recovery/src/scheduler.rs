@@ -6,7 +6,7 @@
 //! for applications with higher penalty rates get higher priority, thus
 //! delaying the execution of lower-priority recovery tasks."
 //!
-//! [`schedule_jobs`] implements this as deterministic list scheduling:
+//! [`schedule_jobs_with`] implements this as deterministic list scheduling:
 //! jobs are considered in descending priority order; each job starts at
 //! the later of its lead time (hardware repair, vault retrieval) and the
 //! time its devices become free, holds its devices exclusively for its
@@ -99,18 +99,10 @@ impl Schedule {
     }
 }
 
-/// Schedules `jobs` with the paper's priority serialization on shared
-/// devices and returns each application's recovery time.
-///
-/// Ties in priority are broken by application id so the schedule is
-/// deterministic. Equivalent to
-/// [`schedule_jobs_with`]`(jobs, SchedulingPolicy::PriorityExclusive)`.
-#[must_use]
-pub fn schedule_jobs(jobs: Vec<RecoveryJob>) -> Schedule {
-    schedule_jobs_with(jobs, SchedulingPolicy::PriorityExclusive)
-}
-
-/// Schedules `jobs` under the given device-sharing policy.
+/// Schedules `jobs` under the given device-sharing policy and returns
+/// each application's recovery time. Under the paper's
+/// [`SchedulingPolicy::PriorityExclusive`], ties in priority are broken
+/// by application id so the schedule is deterministic.
 #[must_use]
 pub fn schedule_jobs_with(jobs: Vec<RecoveryJob>, policy: SchedulingPolicy) -> Schedule {
     let n_jobs = jobs.len();
@@ -311,7 +303,7 @@ mod tests {
             job(0, 10.0, vec![dev_a()], 2.0),  // low priority
             job(1, 100.0, vec![dev_a()], 3.0), // high priority
         ];
-        let s = schedule_jobs(jobs);
+        let s = schedule_jobs_with(jobs, SchedulingPolicy::PriorityExclusive);
         assert_eq!(s.recovery_time(AppId(1)).unwrap().as_hours(), 3.0, "high goes first");
         assert_eq!(s.recovery_time(AppId(0)).unwrap().as_hours(), 5.0, "low waits");
     }
@@ -319,7 +311,7 @@ mod tests {
     #[test]
     fn disjoint_devices_run_in_parallel() {
         let jobs = vec![job(0, 10.0, vec![dev_a()], 2.0), job(1, 100.0, vec![dev_b()], 3.0)];
-        let s = schedule_jobs(jobs);
+        let s = schedule_jobs_with(jobs, SchedulingPolicy::PriorityExclusive);
         assert_eq!(s.recovery_time(AppId(0)).unwrap().as_hours(), 2.0);
         assert_eq!(s.recovery_time(AppId(1)).unwrap().as_hours(), 3.0);
         assert_eq!(s.makespan().as_hours(), 3.0);
@@ -330,7 +322,7 @@ mod tests {
         let mut high = job(1, 100.0, vec![dev_a()], 2.0);
         high.lead_time = TimeSpan::from_hours(12.0);
         let low = job(0, 10.0, vec![dev_a()], 1.0);
-        let s = schedule_jobs(vec![high, low]);
+        let s = schedule_jobs_with(vec![high, low], SchedulingPolicy::PriorityExclusive);
         // High priority starts at 12h (repair), ends 14h; low then runs
         // 14h..15h (serialized after the higher-priority job).
         assert_eq!(s.recovery_time(AppId(1)).unwrap().as_hours(), 14.0);
@@ -342,7 +334,7 @@ mod tests {
         let mut first = job(1, 100.0, vec![dev_a()], 2.0);
         first.tail = TimeSpan::from_hours(1.0);
         let second = job(0, 10.0, vec![dev_a()], 1.0);
-        let s = schedule_jobs(vec![first, second]);
+        let s = schedule_jobs_with(vec![first, second], SchedulingPolicy::PriorityExclusive);
         assert_eq!(s.recovery_time(AppId(1)).unwrap().as_hours(), 3.0);
         assert_eq!(
             s.recovery_time(AppId(0)).unwrap().as_hours(),
@@ -354,7 +346,7 @@ mod tests {
     #[test]
     fn priority_ties_broken_by_app_id() {
         let jobs = vec![job(7, 10.0, vec![dev_a()], 1.0), job(3, 10.0, vec![dev_a()], 1.0)];
-        let s = schedule_jobs(jobs);
+        let s = schedule_jobs_with(jobs, SchedulingPolicy::PriorityExclusive);
         assert_eq!(s.recovery_time(AppId(3)).unwrap().as_hours(), 1.0);
         assert_eq!(s.recovery_time(AppId(7)).unwrap().as_hours(), 2.0);
     }
@@ -364,7 +356,7 @@ mod tests {
         let mut stuck = job(1, 100.0, vec![dev_a()], 1.0);
         stuck.transfer = TimeSpan::INFINITE;
         let other = job(0, 10.0, vec![dev_a()], 1.0);
-        let s = schedule_jobs(vec![stuck, other]);
+        let s = schedule_jobs_with(vec![stuck, other], SchedulingPolicy::PriorityExclusive);
         assert!(s.recovery_time(AppId(1)).unwrap().is_infinite());
         assert!(
             s.recovery_time(AppId(0)).unwrap().is_finite(),
@@ -374,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_schedule() {
-        let s = schedule_jobs(Vec::new());
+        let s = schedule_jobs_with(Vec::new(), SchedulingPolicy::PriorityExclusive);
         assert_eq!(s.makespan(), TimeSpan::ZERO);
         assert!(s.recovery_time(AppId(0)).is_none());
         assert_eq!(s.iter().count(), 0);

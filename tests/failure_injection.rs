@@ -87,7 +87,7 @@ fn penalties_scale_linearly_with_scenario_likelihood() {
     let protections = best.protections(&env);
     let evaluator = Evaluator::new(&env.workloads, best.provision(), env.recovery);
     let scenarios: Vec<FailureScenario> = env.failures.enumerate(best.primaries());
-    let (base, _) = evaluator.annual_penalties(&protections, &scenarios);
+    let base = evaluator.annual_penalties(&protections, &scenarios);
     let tripled: Vec<FailureScenario> = scenarios
         .iter()
         .map(|s| FailureScenario {
@@ -95,7 +95,7 @@ fn penalties_scale_linearly_with_scenario_likelihood() {
             likelihood: PerYear::new(s.likelihood.as_f64() * 3.0),
         })
         .collect();
-    let (scaled, _) = evaluator.annual_penalties(&protections, &tripled);
+    let scaled = evaluator.annual_penalties(&protections, &tripled);
     let expected = base.total().as_f64() * 3.0;
     assert!(
         (scaled.total().as_f64() - expected).abs() <= 1e-6 * expected.max(1.0),
