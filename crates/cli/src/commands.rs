@@ -85,8 +85,9 @@ pub fn cmd_tables() -> String {
     out
 }
 
-/// `dsd design <spec.toml>` — solve and render the design (plus optional
-/// JSON for `--save`).
+/// `dsd design <spec.toml>` — solve and render the design, its JSON for
+/// `--save`, and, when `with_report` is set (`--report`), the markdown
+/// report.
 ///
 /// # Errors
 ///
@@ -94,7 +95,8 @@ pub fn cmd_tables() -> String {
 pub fn cmd_design(
     spec_text: &str,
     options: RunOptions,
-) -> Result<(String, String, String), Box<dyn Error>> {
+    with_report: bool,
+) -> Result<(String, String, Option<String>), Box<dyn Error>> {
     let spec = EnvironmentSpec::from_toml(spec_text)?;
     let env = spec.to_environment()?;
     let cache = EvalCache::new(DEFAULT_CACHE_CAPACITY);
@@ -200,7 +202,7 @@ pub fn cmd_design(
     }
 
     let json = SavedDesign::from_candidate(&env, &best).to_json();
-    let report = crate::report::markdown(&env, &mut best);
+    let report = with_report.then(|| crate::report::markdown(&env, &mut best));
     Ok((text, json, report))
 }
 
@@ -701,12 +703,12 @@ mod tests {
     fn design_and_evaluate_roundtrip() {
         let spec = cmd_init();
         let (text, json, report) =
-            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
+            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() }, true)
                 .expect("solvable");
         assert!(text.contains("total:"));
         assert!(text.contains("search statistics:"));
         assert!(text.contains("eval cache:"));
-        assert!(report.contains("# Dependable storage design report"));
+        assert!(report.expect("asked for").contains("# Dependable storage design report"));
         let eval = cmd_evaluate(&spec, &json).expect("evaluates");
         assert!(eval.contains("cost:"));
         assert!(eval.contains("site disaster"));
@@ -767,7 +769,7 @@ mod tests {
         let recorder = dsd_obs::Recorder::progress_only();
         let _ = {
             let _g = recorder.install();
-            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
+            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() }, false)
                 .expect("solvable")
         };
         let log = dsd_obs::export::trace_jsonl(&recorder.drain_events());
@@ -783,7 +785,7 @@ mod tests {
     fn explain_reproduces_the_design_cost_bit_for_bit() {
         let spec = cmd_init();
         let (_, json, _) =
-            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
+            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() }, false)
                 .expect("solvable");
         let (text, report_json) = cmd_explain(&spec, &json, 3).expect("explains");
         assert!(text.contains("objective:"));
@@ -813,7 +815,7 @@ mod tests {
 
         let spec = cmd_init();
         let (_, json, _) =
-            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
+            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() }, false)
                 .expect("solvable");
         let (text, report_json) = cmd_explain(&spec, &json, 3).expect("explains");
         assert!(text.contains("certificate:"));
@@ -876,7 +878,7 @@ mod tests {
     fn obs_diff_of_a_run_against_itself_reports_zero_deltas() {
         let spec = cmd_init();
         let (_, json, _) =
-            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() })
+            cmd_design(&spec, RunOptions { budget: 15, seed: 3, ..RunOptions::default() }, false)
                 .expect("solvable");
         let (_, report_json) = cmd_explain(&spec, &json, 3).expect("explains");
         let (out, regressions) = cmd_obs_diff(&report_json, &report_json).expect("diffs");

@@ -268,7 +268,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                 recorder.as_ref().filter(|_| outputs.progress).map(ProgressMonitor::start);
             let result = {
                 let _guard = recorder.as_ref().map(dsd_obs::Recorder::install);
-                cmd_design(&spec, options)
+                cmd_design(&spec, options, outputs.report.is_some())
             };
             if let Some(monitor) = monitor {
                 let _ = monitor.finish();
@@ -282,7 +282,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                 fs::write(&path, json)?;
                 emit(&format!("design saved to {path}\n"))?;
             }
-            if let Some(path) = outputs.report {
+            if let (Some(path), Some(md)) = (outputs.report, md) {
                 fs::write(&path, md)?;
                 emit(&format!("report written to {path}\n"))?;
             }

@@ -629,6 +629,55 @@ fn design_live_line_and_curve_count_the_same_evaluations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `dsd design` renders its markdown report, an attributed penalty fold
+/// over every scenario, only when `--report` asks for it: without the
+/// flag, no penalty fold or scenario evaluation starts after the solve
+/// ends.
+#[test]
+fn design_renders_its_report_only_when_asked() {
+    let dir = std::env::temp_dir().join(format!("dsd-report-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("env.toml");
+    let trace_path = dir.join("t.jsonl");
+    let report_path = dir.join("report.md");
+    let init = dsd().arg("init").output().expect("runs");
+    assert!(init.status.success());
+    std::fs::write(&spec_path, &init.stdout).unwrap();
+
+    // Penalty-fold spans and scenario instants that start after the
+    // last `solver.solve` span ends.
+    let evaluations_after_the_solve = |report: bool| -> usize {
+        let mut design = dsd();
+        design.args(["design", spec_path.to_str().unwrap(), "--budget", "40", "--seed", "7"]);
+        design.arg("--trace").arg(&trace_path);
+        if report {
+            design.arg("--report").arg(&report_path);
+        }
+        let out = design.output().expect("runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        let records = dsd_obs::export::parse_jsonl(&trace).records;
+        let solved = records
+            .iter()
+            .filter(|r| r.name == "solver.solve")
+            .map(|r| r.ts_us + r.dur_us)
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert!(solved.is_finite(), "the trace holds the solve");
+        records
+            .iter()
+            .filter(|r| r.name == "recovery.annual_penalties" || r.name == "recovery.scenario")
+            .filter(|r| r.ts_us >= solved)
+            .count()
+    };
+
+    assert_eq!(evaluations_after_the_solve(false), 0);
+    assert!(!report_path.exists(), "no report without --report");
+    assert!(evaluations_after_the_solve(true) > 0, "the report prices every scenario");
+    let report = std::fs::read_to_string(&report_path).unwrap();
+    assert!(report.contains("# Dependable storage design report"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Hand-edited saved designs that used to panic (or pass silently) make
 /// `dsd evaluate` exit 1 with the structured error event.
 #[test]

@@ -14,9 +14,8 @@ use dsd_workload::AppId;
 use std::collections::BTreeSet;
 
 use dsd_failure::FailureScenario;
-use dsd_recovery::ScenarioDigest;
 
-use crate::delta::{AppSliceFingerprint, Move, MoveUndo, TouchedDevices};
+use crate::delta::{AppSliceFingerprint, DigestBuilder, Move, MoveUndo, TouchedDevices};
 use crate::env::Environment;
 
 /// One application's protection decisions within a candidate design.
@@ -149,23 +148,23 @@ struct EvalMemo {
     fingerprints: Vec<AppSliceFingerprint>,
     /// Failure scenarios for the current primary placements.
     scenarios: Vec<FailureScenario>,
-    /// Per-scenario digest vector, parallel to `scenarios`. Persistent
-    /// across evaluations: a digest is recombined only when an
-    /// application in the scenario's failure domain went dirty (see
-    /// [`Candidate::evaluate_with`]), so an evaluation after a move
-    /// touches only the shard of scenarios the move intersects.
-    digests: Vec<ScenarioDigest>,
+    /// Derives every scenario's digest from the fingerprints on each
+    /// cached evaluation, in one pass, reusing its buffers.
+    digests: DigestBuilder,
     /// Apps whose assignment changed: protection AND fingerprint entries
     /// must be recomputed.
     stale_assignments: BTreeSet<AppId>,
     /// Apps whose fingerprint must be recomputed because a device their
-    /// placement touches changed state (their protection entry is a
-    /// function of the assignment alone and stays valid).
+    /// placement touches changed state, or because their slot was just
+    /// inserted (their protection entry is a function of the assignment
+    /// alone and stays valid).
     stale_fingerprints: BTreeSet<AppId>,
-    /// A primary placement changed — re-enumerate scenarios.
+    /// A primary placement or the set of assigned apps changed —
+    /// re-enumerate scenarios.
     scenarios_stale: bool,
-    /// The assignment set itself changed (or unknown mutations happened):
-    /// rebuild everything.
+    /// The entries are out of step with the assignments (a fresh or
+    /// cloned candidate, `remove_app`, or `provision_mut`'s unknown
+    /// mutations): rebuild everything.
     shape_stale: bool,
 }
 
@@ -173,19 +172,35 @@ impl EvalMemo {
     fn stale() -> Self {
         EvalMemo { shape_stale: true, ..EvalMemo::default() }
     }
-}
 
-/// What [`Candidate::refresh_memo`] had to do, telling the digest layer
-/// how much recombination work remains.
-enum MemoRefresh {
-    /// Protections, fingerprints, or the scenario list were rebuilt —
-    /// every scenario digest must be recombined.
-    Rebuilt,
-    /// Only the listed applications' slice fingerprints changed (their
-    /// primaries did not — a primary change re-enumerates scenarios and
-    /// reports [`MemoRefresh::Rebuilt`]), so only scenarios whose failure
-    /// domain contains one of them need their digest recombined.
-    Dirty(Vec<(AppId, ArrayRef)>),
+    /// Follows the insertion of `app`'s assignment: its protection goes
+    /// in at its place in app order, and its fingerprint is computed on
+    /// the next refresh, once the provision has settled.
+    fn follow_insertion(&mut self, env: &Environment, app: AppId, assignment: &AppAssignment) {
+        self.scenarios_stale = true;
+        if self.shape_stale {
+            return;
+        }
+        let i = self.protections.partition_point(|p| p.app < app);
+        self.protections.insert(i, assignment.protection(app, env));
+        self.fingerprints
+            .insert(i, AppSliceFingerprint::pending(app, assignment.placement.primary));
+        self.stale_fingerprints.insert(app);
+    }
+
+    /// Follows the removal of `app`'s assignment by a move's undo.
+    fn follow_removal(&mut self, app: AppId) {
+        self.scenarios_stale = true;
+        if self.shape_stale {
+            return;
+        }
+        let i = self
+            .protections
+            .binary_search_by_key(&app, |p| p.app)
+            .expect("a memo in step holds a slot for every assigned app");
+        self.protections.remove(i);
+        self.fingerprints.remove(i);
+    }
 }
 
 /// A (possibly partial) candidate design: per-application assignments plus
@@ -429,16 +444,17 @@ impl Candidate {
                     Ok(placement) => {
                         let touched = TouchedDevices { arrays, tapes, routes };
                         mark_apps_touching(&self.assignments, &mut self.memo, &touched);
-                        self.memo.stale_assignments.insert(app);
+                        let assignment = AppAssignment { technique, config, placement };
                         match prev {
-                            None => self.memo.shape_stale = true,
-                            Some(p) if p.placement.primary != placement.primary => {
-                                self.memo.scenarios_stale = true;
+                            None => self.memo.follow_insertion(env, app, &assignment),
+                            Some(p) => {
+                                self.memo.stale_assignments.insert(app);
+                                if p.placement.primary != placement.primary {
+                                    self.memo.scenarios_stale = true;
+                                }
                             }
-                            Some(_) => {}
                         }
-                        self.assignments
-                            .insert(app, AppAssignment { technique, config, placement });
+                        self.assignments.insert(app, assignment);
                         Ok(MoveUndo {
                             checkpoint,
                             assignment: Some((app, prev)),
@@ -490,20 +506,20 @@ impl Candidate {
         mark_apps_touching(&self.assignments, &mut self.memo, &undo.touched);
         self.provision.restore(undo.checkpoint);
         if let Some((app, prev)) = undo.assignment {
-            self.memo.stale_assignments.insert(app);
             let current = match prev {
                 Some(a) => self.assignments.insert(app, a),
-                None => {
-                    self.memo.shape_stale = true;
-                    self.assignments.remove(&app)
-                }
+                None => self.assignments.remove(&app),
             };
             match (current, prev) {
-                (Some(c), Some(p)) if c.placement.primary != p.placement.primary => {
-                    self.memo.scenarios_stale = true;
+                (Some(c), Some(p)) => {
+                    self.memo.stale_assignments.insert(app);
+                    if c.placement.primary != p.placement.primary {
+                        self.memo.scenarios_stale = true;
+                    }
                 }
+                (Some(_), None) => self.memo.follow_removal(app),
                 (None, Some(_)) => self.memo.shape_stale = true,
-                _ => {}
+                (None, None) => {}
             }
         }
         self.cost = undo.cost;
@@ -621,36 +637,9 @@ impl Candidate {
         cache: &mut ScenarioOutcomeCache,
     ) -> &CostBreakdown {
         if self.cost.is_none() {
-            let refresh = self.refresh_memo(env);
+            self.refresh_memo(env);
             let EvalMemo { protections, fingerprints, scenarios, digests, .. } = &mut self.memo;
-            // Failure-domain partitioning: recombine a scenario's digest
-            // only when an application in its failure domain went dirty.
-            // In the `Dirty` path no primary moved, so scope membership
-            // is unchanged and every clean scenario's digest is still
-            // exact — a move prices only the shard it touches.
-            let in_step = digests.len() == scenarios.len();
-            match refresh {
-                MemoRefresh::Dirty(dirty) if in_step && dirty.is_empty() => {}
-                MemoRefresh::Dirty(dirty) if in_step => {
-                    let mut recombined = 0u64;
-                    for (digest, s) in digests.iter_mut().zip(scenarios.iter()) {
-                        if dirty.iter().any(|&(app, primary)| s.scope.affects_app(app, primary)) {
-                            *digest = crate::delta::combine(&s.scope, fingerprints);
-                            recombined += 1;
-                        }
-                    }
-                    dsd_obs::add("eval.digests_recombined", recombined);
-                    dsd_obs::add("eval.digests_reused", scenarios.len() as u64 - recombined);
-                }
-                // A rebuilt memo, or digests out of step with the
-                // scenario list: recombine every digest.
-                MemoRefresh::Rebuilt | MemoRefresh::Dirty(_) => {
-                    digests.clear();
-                    digests.extend(
-                        scenarios.iter().map(|s| crate::delta::combine(&s.scope, fingerprints)),
-                    );
-                }
-            }
+            let digests = digests.build(scenarios, fingerprints);
             let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
             let penalties =
                 evaluator.annual_penalties_cached(protections, scenarios, digests, cache);
@@ -664,10 +653,8 @@ impl Candidate {
     /// rebuilding only the entries the mutators marked stale. The
     /// refreshed memo is bit-equivalent to a from-scratch build: each
     /// entry is a pure function of the current assignment and provision
-    /// state, recomputed by the same code either way. Returns which
-    /// applications' slices actually changed so the digest layer can
-    /// limit recombination to the failure domains they belong to.
-    fn refresh_memo(&mut self, env: &Environment) -> MemoRefresh {
+    /// state, recomputed by the same code either way.
+    fn refresh_memo(&mut self, env: &Environment) {
         let memo = &mut self.memo;
         if memo.shape_stale || memo.protections.len() != self.assignments.len() {
             memo.protections.clear();
@@ -676,16 +663,11 @@ impl Candidate {
                 memo.protections.push(a.protection(app, env));
                 memo.fingerprints.push(crate::delta::fingerprint_app(&self.provision, app, a));
             }
-            memo.scenarios = env
-                .failures
-                .enumerate(self.assignments.iter().map(|(&app, a)| (app, a.placement.primary)));
             memo.stale_assignments.clear();
             memo.stale_fingerprints.clear();
-            memo.scenarios_stale = false;
+            memo.scenarios_stale = true;
             memo.shape_stale = false;
-            return MemoRefresh::Rebuilt;
         }
-        let mut dirty = Vec::new();
         if !(memo.stale_assignments.is_empty() && memo.stale_fingerprints.is_empty()) {
             for (i, (&app, a)) in self.assignments.iter().enumerate() {
                 let assignment_stale = memo.stale_assignments.contains(&app);
@@ -694,7 +676,6 @@ impl Candidate {
                 }
                 if assignment_stale || memo.stale_fingerprints.contains(&app) {
                     memo.fingerprints[i] = crate::delta::fingerprint_app(&self.provision, app, a);
-                    dirty.push((app, a.placement.primary));
                 }
             }
             memo.stale_assignments.clear();
@@ -705,9 +686,7 @@ impl Candidate {
                 .failures
                 .enumerate(self.assignments.iter().map(|(&app, a)| (app, a.placement.primary)));
             memo.scenarios_stale = false;
-            return MemoRefresh::Rebuilt;
         }
-        MemoRefresh::Dirty(dirty)
     }
 
     /// Applies `mv` and evaluates the result incrementally: only

@@ -7,9 +7,9 @@
 //! bandwidth state of the devices those applications' placements touch
 //! (recovery streams draw the failed application's own allocation plus
 //! each device's spare, which is total minus everyone's allocations).
-//! [`scenario_digest`] hashes exactly that slice; the solver keys a
-//! [`dsd_recovery::ScenarioOutcomeCache`] on it so a trial move only
-//! pays to re-schedule the scenarios it intersects.
+//! [`scenario_digests`] hashes exactly that slice for every scenario;
+//! the solver keys a [`dsd_recovery::ScenarioOutcomeCache`] on it so a
+//! trial move only pays to re-schedule the scenarios it intersects.
 //!
 //! [`Move`] enumerates the solver's elementary trials. Applying one via
 //! `Candidate::apply_move` yields a [`MoveUndo`] token that snapshots
@@ -235,6 +235,14 @@ pub(crate) struct AppSliceFingerprint {
     lanes: (u64, u64),
 }
 
+impl AppSliceFingerprint {
+    /// The slot of a just-inserted application whose slice is hashed on
+    /// the next memo refresh; its lanes are never read before that.
+    pub(crate) fn pending(app: AppId, primary: ArrayRef) -> Self {
+        AppSliceFingerprint { app, primary, lanes: (0, 0) }
+    }
+}
+
 /// Hashes one application's dependency slice against the current
 /// provision state.
 pub(crate) fn fingerprint_app(
@@ -273,42 +281,97 @@ fn app_fingerprints(candidate: &Candidate) -> Vec<AppSliceFingerprint> {
         .collect()
 }
 
-/// Combines the fingerprints of the applications `scope` affects, in app
-/// order, into the scope's slice digest.
-pub(crate) fn combine(
-    scope: &FailureScope,
-    fingerprints: &[AppSliceFingerprint],
-) -> ScenarioDigest {
-    let mut a = LANE_A_SEED;
-    let mut b = LANE_B_SEED;
-    for f in fingerprints {
-        if scope.affects_app(f.app, f.primary) {
-            a = mix_a(a, f.lanes.0);
-            b = mix_b(b, f.lanes.1);
+/// Builds every scenario's slice digest in one pass over the
+/// application fingerprints, and keeps its buffers between builds.
+///
+/// A scope affects an application when it corrupts the application's
+/// data or fails its primary array (`FailureScope::affects_app`), so each
+/// application belongs to exactly three scopes: its data object, its
+/// primary array and that array's site. Each fingerprint is mixed, in app
+/// order, into those three scopes' accumulators; a scenario's digest is
+/// then its scope's accumulator, or the bare seed when no application
+/// falls in the scope. That is the same sequence of mixes as folding, per
+/// scenario, every affected application in app order, at O(apps +
+/// scenarios) instead of O(apps × scenarios).
+#[derive(Debug, Default)]
+pub(crate) struct DigestBuilder {
+    /// One accumulator per application id, then one per (site, slot)
+    /// array, then one per site, up to the largest ids the fingerprints
+    /// name.
+    lanes: Vec<(u64, u64)>,
+    apps: usize,
+    sites: usize,
+    slots: usize,
+    digests: Vec<ScenarioDigest>,
+}
+
+impl DigestBuilder {
+    /// The digest of every scenario, in order, from the fingerprints of
+    /// the assigned applications in app order.
+    pub(crate) fn build(
+        &mut self,
+        scenarios: &[FailureScenario],
+        fingerprints: &[AppSliceFingerprint],
+    ) -> &[ScenarioDigest] {
+        (self.apps, self.sites, self.slots) = (0, 0, 0);
+        for f in fingerprints {
+            self.apps = self.apps.max(f.app.0 + 1);
+            self.sites = self.sites.max(f.primary.site.0 + 1);
+            self.slots = self.slots.max(f.primary.slot + 1);
+        }
+        self.lanes.clear();
+        self.lanes.resize(self.apps + (self.slots + 1) * self.sites, (LANE_A_SEED, LANE_B_SEED));
+        for f in fingerprints {
+            let scopes = [
+                FailureScope::DataObject { app: f.app },
+                FailureScope::DiskArray { array: f.primary },
+                FailureScope::SiteDisaster { site: f.primary.site },
+            ];
+            for scope in &scopes {
+                let i = self.accumulator(scope).expect("the lanes cover every fingerprint");
+                let (a, b) = &mut self.lanes[i];
+                *a = mix_a(*a, f.lanes.0);
+                *b = mix_b(*b, f.lanes.1);
+            }
+        }
+        self.digests.clear();
+        self.digests.reserve(scenarios.len());
+        for s in scenarios {
+            let (a, b) =
+                self.accumulator(&s.scope).map_or((LANE_A_SEED, LANE_B_SEED), |i| self.lanes[i]);
+            self.digests.push(ScenarioDigest(a, b));
+        }
+        &self.digests
+    }
+
+    /// Where `scope`'s accumulator sits in `lanes`; `None` when no
+    /// fingerprint falls in the scope.
+    fn accumulator(&self, scope: &FailureScope) -> Option<usize> {
+        let arrays = self.apps;
+        let sites = arrays + self.sites * self.slots;
+        match *scope {
+            FailureScope::DataObject { app } => (app.0 < self.apps).then_some(app.0),
+            FailureScope::DiskArray { array } => (array.site.0 < self.sites
+                && array.slot < self.slots)
+                .then(|| arrays + array.site.0 * self.slots + array.slot),
+            FailureScope::SiteDisaster { site } => (site.0 < self.sites).then(|| sites + site.0),
         }
     }
-    ScenarioDigest(a, b)
 }
 
-/// Digest of `scope`'s dependency slice in `candidate`: for each
-/// affected application (in app order), its full assignment plus the
-/// exact bandwidth state (total, allocated, own share) of every device
-/// its placement touches. Two candidates with equal digests produce
-/// bit-identical [`dsd_recovery::ScenarioOutcome`]s for the scope under
-/// the same environment.
-#[must_use]
-pub fn scenario_digest(candidate: &Candidate, scope: &FailureScope) -> ScenarioDigest {
-    combine(scope, &app_fingerprints(candidate))
-}
-
-/// [`scenario_digest`] for every scenario in order — the digest vector
-/// `Evaluator::annual_penalties_cached` consumes. Applications are
-/// fingerprinted once and shared across all scenarios.
+/// The dependency-slice digest of every scenario in order — the digest
+/// vector `Evaluator::annual_penalties_cached` consumes. A scenario's
+/// digest covers, for each application its scope affects (in app order),
+/// the full assignment plus the exact bandwidth state (total, allocated,
+/// own share) of every device its placement touches. Two candidates with
+/// equal digests for a scope produce bit-identical
+/// [`dsd_recovery::ScenarioOutcome`]s for it under the same environment.
 #[must_use]
 pub fn scenario_digests(
     candidate: &Candidate,
     scenarios: &[FailureScenario],
 ) -> Vec<ScenarioDigest> {
-    let fingerprints = app_fingerprints(candidate);
-    scenarios.iter().map(|s| combine(&s.scope, &fingerprints)).collect()
+    let mut builder = DigestBuilder::default();
+    builder.build(scenarios, &app_fingerprints(candidate));
+    builder.digests
 }

@@ -11,8 +11,9 @@
 //!
 //! The guarantee holds by construction, not by tolerance:
 //!
-//! * outlay items come from `Provision::outlay_items`, whose in-order
-//!   fold *is* the implementation of `purchase_outlay`;
+//! * outlay items come from `Provision::outlay_items`, which labels the
+//!   lines of the one outlay walk whose in-order sum is
+//!   `purchase_outlay`;
 //! * penalty items are recorded by the same accumulation code that
 //!   produces [`PenaltySummary`], in the same scenario × app order, and
 //!   store the very weighted values added to the summary;

@@ -62,7 +62,7 @@ pub use bounds::{lower_bound, AppBound, Certificate, LowerBound};
 pub use budget::Budget;
 pub use candidate::{AppAssignment, Candidate, CostBreakdown, PlacementOptions};
 pub use config_solver::{ConfigurationSolver, Thoroughness};
-pub use delta::{scenario_digest, scenario_digests, Move, MoveUndo};
+pub use delta::{scenario_digests, Move, MoveUndo};
 pub use design_solver::{DesignSolver, RefitParams, SolveOutcome, SolveStats};
 pub use dsd_recovery::{ScenarioDigest, ScenarioOutcomeCache};
 pub use env::Environment;

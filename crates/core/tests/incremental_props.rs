@@ -1,5 +1,6 @@
 //! Oracle-equivalence property suite for incremental (delta) evaluation:
-//! random move sequences on random environments must produce totals
+//! random move sequences (insertions, reassignments and resource
+//! additions, some undone) on random environments must produce totals
 //! bit-identical to a fresh full evaluation, with every scenario's
 //! cached outcome equal to a fresh one, and apply→undo must restore the
 //! exact candidate state.
@@ -69,12 +70,25 @@ fn complete_candidate(env: &Environment) -> Option<Candidate> {
     Some(c)
 }
 
+/// [`complete_candidate`] with one or two applications taken out again,
+/// so that [`random_move`] can insert them.
+fn candidate_with_gaps(env: &Environment, rng: &mut ChaCha8Rng) -> Option<Candidate> {
+    let mut c = complete_candidate(env)?;
+    let mut apps: Vec<AppId> = env.workloads.ids().collect();
+    apps.shuffle(rng);
+    for &app in &apps[..rng.gen_range(1..3usize)] {
+        c.remove_app(app);
+    }
+    Some(c)
+}
+
 /// Draws a random move of a random kind against the candidate's current
-/// state.
+/// state. A reassignment may pick an application that is not assigned:
+/// that move is an insertion.
 fn random_move(env: &Environment, candidate: &Candidate, rng: &mut ChaCha8Rng) -> Option<Move> {
     match rng.gen_range(0..4u8) {
         0 => {
-            let apps: Vec<AppId> = candidate.assignments().keys().copied().collect();
+            let apps: Vec<AppId> = env.workloads.ids().collect();
             let app = *apps.choose(rng)?;
             let class = env.workloads[app].class_with(&env.thresholds);
             let eligible: Vec<_> = env.catalog.eligible_for(class).collect();
@@ -142,8 +156,8 @@ proptest! {
         steps in 4usize..12,
     ) {
         let env = random_env(seed, sites, apps);
-        let Some(mut c) = complete_candidate(&env) else { return Ok(()); };
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xDE17A);
+        let Some(mut c) = candidate_with_gaps(&env, &mut rng) else { return Ok(()); };
         let mut scache = ScenarioOutcomeCache::new();
 
         for step in 0..steps {
@@ -187,8 +201,8 @@ proptest! {
         steps in 1usize..8,
     ) {
         let env = random_env(seed, 2, 3);
-        let Some(mut c) = complete_candidate(&env) else { return Ok(()); };
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0D0);
+        let Some(mut c) = candidate_with_gaps(&env, &mut rng) else { return Ok(()); };
         let limits = ConfigurationSolver::new(&env).addition_limits();
         for _ in 0..steps {
             let Some(mv) = random_move(&env, &c, &mut rng) else { continue; };
@@ -258,8 +272,8 @@ proptest! {
         steps in 3usize..10,
     ) {
         let env = random_env(seed, sites, apps);
-        let Some(mut c) = complete_candidate(&env) else { return Ok(()); };
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA77B);
+        let Some(mut c) = candidate_with_gaps(&env, &mut rng) else { return Ok(()); };
         let mut scache = ScenarioOutcomeCache::new();
 
         // Full path: evaluate fresh, then attribute.

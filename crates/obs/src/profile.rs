@@ -4,7 +4,7 @@
 //! thread, start offset, and duration — but not its parent). This
 //! module folds that stream into a [`ProfileTree`]: per call-path
 //! self/total wall time and call counts, plus attached solver counters
-//! (evals, cache hits, scenarios recombined). Nesting is reconstructed
+//! (evals, cache hits, scenarios recomputed). Nesting is reconstructed
 //! offline by interval containment — on one thread a span is a child of
 //! the innermost span that encloses it — so recording stays a
 //! zero-allocation guard drop on the hot path.

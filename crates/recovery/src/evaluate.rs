@@ -283,16 +283,16 @@ impl<'a> Evaluator<'a> {
             FailureScope::DiskArray { .. } => self.policy.array_repair,
             FailureScope::SiteDisaster { .. } => self.policy.site_rebuild,
         };
-        let mut devices = vec![DeviceRef::Array(protection.placement.primary)];
-        if let Some(m) = protection.placement.mirror {
-            devices.push(DeviceRef::Array(m));
-        }
-        if let Some(route) = protection.placement.route {
-            devices.push(DeviceRef::Route(route));
-        }
+        let placement = &protection.placement;
+        let devices = [
+            Some(DeviceRef::Array(placement.primary)),
+            placement.mirror.map(DeviceRef::Array),
+            placement.route.map(DeviceRef::Route),
+        ];
         let rate = devices
-            .iter()
-            .map(|&d| self.stream_rate(protection.app, d))
+            .into_iter()
+            .flatten()
+            .map(|d| self.stream_rate(protection.app, d))
             .fold(MegabytesPerSec::new(f64::MAX / 2.0), MegabytesPerSec::min);
         repair + app.capacity() / rate + self.policy.reconfig_time
     }
@@ -317,8 +317,8 @@ impl<'a> Evaluator<'a> {
     ) -> ScenarioOutcome {
         let mut failover_outcomes = Vec::new();
         let mut jobs = Vec::new();
-        let mut job_meta: BTreeMap<AppId, (RecoveryPath, TimeSpan, Option<TimeSpan>)> =
-            BTreeMap::new();
+        // (app, path, loss time, failback time) of each job, in job order.
+        let mut job_meta: Vec<(AppId, RecoveryPath, TimeSpan, Option<TimeSpan>)> = Vec::new();
 
         for protection in protections {
             if !scope.affects_app(protection.app, protection.placement.primary) {
@@ -326,6 +326,21 @@ impl<'a> Evaluator<'a> {
             }
             let app = &self.workloads[protection.app];
             let surviving = surviving_copies(protection, scope);
+            if surviving.is_empty() {
+                failover_outcomes.push(AppOutcome {
+                    app: protection.app,
+                    path: RecoveryPath::Unprotected,
+                    recovery_time: self.policy.unprotected_recovery,
+                    loss_time: self.policy.unprotected_loss,
+                    failback_time: None,
+                });
+                continue;
+            }
+            // The propagation delays, and so each copy's staleness, are
+            // the same whichever copy is chosen.
+            let delays = self.propagation_delays(protection);
+            let staleness =
+                |copy| protection.technique.staleness(copy, &protection.config, &delays);
 
             // Failover short-circuits restore when the mirror survived and
             // the failover site itself is intact.
@@ -337,7 +352,7 @@ impl<'a> Evaluator<'a> {
                     app: protection.app,
                     path: RecoveryPath::Failover,
                     recovery_time: self.policy.failover_time,
-                    loss_time: self.staleness(protection, CopyKind::Mirror),
+                    loss_time: staleness(CopyKind::Mirror),
                     failback_time: Some(self.failback_time(protection, scope)),
                 });
                 continue;
@@ -345,21 +360,11 @@ impl<'a> Evaluator<'a> {
 
             // Otherwise restore the accessible copy with minimum staleness
             // (paper §3.2.1).
-            let chosen = surviving.iter().copied().min_by(|&a, &b| {
-                self.staleness(protection, a)
-                    .partial_cmp(&self.staleness(protection, b))
-                    .expect("staleness values are comparable")
-            });
-            let Some(copy) = chosen else {
-                failover_outcomes.push(AppOutcome {
-                    app: protection.app,
-                    path: RecoveryPath::Unprotected,
-                    recovery_time: self.policy.unprotected_recovery,
-                    loss_time: self.policy.unprotected_loss,
-                    failback_time: None,
-                });
-                continue;
-            };
+            let (copy, loss_time) = surviving
+                .iter()
+                .map(|&copy| (copy, staleness(copy)))
+                .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("staleness values are comparable"))
+                .expect("some copy survived");
 
             let repair = match scope {
                 FailureScope::DataObject { .. } => TimeSpan::ZERO,
@@ -404,14 +409,12 @@ impl<'a> Evaluator<'a> {
                 && protection.placement.mirror.is_some_and(|m| !scope.fails_site(m.site))
                 && self.policy.compute_procurement < lead_time + transfer;
             if promote {
-                job_meta.insert(
+                job_meta.push((
                     protection.app,
-                    (
-                        RecoveryPath::PromoteMirror,
-                        self.staleness(protection, copy),
-                        Some(self.failback_time(protection, scope)),
-                    ),
-                );
+                    RecoveryPath::PromoteMirror,
+                    loss_time,
+                    Some(self.failback_time(protection, scope)),
+                ));
                 jobs.push(RecoveryJob {
                     app: protection.app,
                     priority: app.priority(),
@@ -423,10 +426,7 @@ impl<'a> Evaluator<'a> {
                 continue;
             }
 
-            job_meta.insert(
-                protection.app,
-                (RecoveryPath::Restore(copy), self.staleness(protection, copy), None),
-            );
+            job_meta.push((protection.app, RecoveryPath::Restore(copy), loss_time, None));
             jobs.push(RecoveryJob {
                 app: protection.app,
                 priority: app.priority(),
@@ -439,7 +439,7 @@ impl<'a> Evaluator<'a> {
 
         let schedule = schedule_jobs_with(jobs, self.policy.scheduling);
         let mut outcomes = failover_outcomes;
-        for (app, (path, loss_time, failback_time)) in job_meta {
+        for (app, path, loss_time, failback_time) in job_meta {
             let recovery_time = schedule.recovery_time(app).expect("every job was scheduled");
             outcomes.push(AppOutcome { app, path, recovery_time, loss_time, failback_time });
         }

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::provision::DeviceRef;
 use crate::topology::{RouteId, SiteId};
 
 /// Why an allocation or provisioning request could not be satisfied.
@@ -28,8 +29,8 @@ pub enum ResourceError {
     /// The device cannot hold the requested capacity and bandwidth even
     /// fully populated.
     DeviceExhausted {
-        /// Human-readable device description.
-        device: String,
+        /// The device that cannot hold the allocation.
+        device: DeviceRef,
     },
     /// The route cannot carry the requested bandwidth even with the
     /// maximum number of links.
@@ -49,10 +50,14 @@ pub enum ResourceError {
         /// The saturated site.
         site: SiteId,
     },
-    /// Adding the requested extra units would exceed a device maximum.
+    /// Adding the requested extra units would exceed a device maximum,
+    /// or the device to extend is not instantiated.
     ExtraUnitsExceedMaximum {
-        /// Human-readable device description.
-        device: String,
+        /// The device that was to be extended.
+        device: DeviceRef,
+        /// False when the device has no instance to extend (a route
+        /// always has one).
+        instantiated: bool,
     },
 }
 
@@ -75,8 +80,11 @@ impl fmt::Display for ResourceError {
             ResourceError::ComputeExhausted { site } => {
                 write!(f, "compute exhausted at {site}")
             }
-            ResourceError::ExtraUnitsExceedMaximum { device } => {
+            ResourceError::ExtraUnitsExceedMaximum { device, instantiated: true } => {
                 write!(f, "extra units exceed maximum for {device}")
+            }
+            ResourceError::ExtraUnitsExceedMaximum { device, instantiated: false } => {
+                write!(f, "extra units exceed maximum for {device} (not instantiated)")
             }
         }
     }
@@ -87,6 +95,7 @@ impl Error for ResourceError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provision::{ArrayRef, TapeRef};
 
     #[test]
     fn errors_display_lowercase_messages() {
@@ -94,8 +103,48 @@ mod tests {
         assert_eq!(e.to_string(), "no route between site#0 and site#1");
         let e = ResourceError::ComputeExhausted { site: SiteId(2) };
         assert!(e.to_string().contains("site#2"));
-        let e = ResourceError::DeviceExhausted { device: "XP1200 @ site#0".into() };
-        assert!(e.to_string().starts_with("device exhausted"));
+        let array = DeviceRef::Array(ArrayRef { site: SiteId(0), slot: 1 });
+        let e = ResourceError::DeviceExhausted { device: array };
+        assert_eq!(e.to_string(), "device exhausted: array@site#0/1");
+    }
+
+    #[test]
+    fn every_variant_names_its_device() {
+        let array = DeviceRef::Array(ArrayRef { site: SiteId(0), slot: 1 });
+        let tape = DeviceRef::Tape(TapeRef { site: SiteId(2), slot: 0 });
+        let route = DeviceRef::Route(RouteId(3));
+        let cases = [
+            (
+                ResourceError::NoSuchArraySlot { site: SiteId(1), slot: 4 },
+                "no array slot 4 at site#1",
+            ),
+            (
+                ResourceError::NoSuchTapeSlot { site: SiteId(1), slot: 2 },
+                "no tape slot 2 at site#1",
+            ),
+            (ResourceError::DeviceExhausted { device: tape }, "device exhausted: tape@site#2/0"),
+            (ResourceError::RouteExhausted { route: RouteId(3) }, "route exhausted: route#3"),
+            (
+                ResourceError::NoRoute { a: SiteId(0), b: SiteId(5) },
+                "no route between site#0 and site#5",
+            ),
+            (ResourceError::ComputeExhausted { site: SiteId(2) }, "compute exhausted at site#2"),
+            (
+                ResourceError::ExtraUnitsExceedMaximum { device: array, instantiated: true },
+                "extra units exceed maximum for array@site#0/1",
+            ),
+            (
+                ResourceError::ExtraUnitsExceedMaximum { device: route, instantiated: true },
+                "extra units exceed maximum for route#3",
+            ),
+            (
+                ResourceError::ExtraUnitsExceedMaximum { device: tape, instantiated: false },
+                "extra units exceed maximum for tape@site#2/0 (not instantiated)",
+            ),
+        ];
+        for (error, message) in cases {
+            assert_eq!(error.to_string(), message, "{error:?}");
+        }
     }
 
     #[test]

@@ -261,6 +261,24 @@ fn empty_topology() -> Arc<Topology> {
     Arc::new(Topology::new(Vec::new(), Vec::new()))
 }
 
+// The spec lookups borrow the topology alone, so a mutator can hold a
+// spec while it updates the device states beside it.
+fn array_spec(topology: &Topology, r: ArrayRef) -> Result<&DeviceSpec, ResourceError> {
+    topology
+        .site(r.site)
+        .array_slots
+        .get(r.slot)
+        .ok_or(ResourceError::NoSuchArraySlot { site: r.site, slot: r.slot })
+}
+
+fn tape_spec(topology: &Topology, r: TapeRef) -> Result<&DeviceSpec, ResourceError> {
+    topology
+        .site(r.site)
+        .tape_slots
+        .get(r.slot)
+        .ok_or(ResourceError::NoSuchTapeSlot { site: r.site, slot: r.slot })
+}
+
 impl PartialEq for Provision {
     fn eq(&self, other: &Self) -> bool {
         self.arrays == other.arrays
@@ -302,22 +320,6 @@ impl Provision {
     #[must_use]
     pub fn topology_arc(&self) -> Arc<Topology> {
         Arc::clone(&self.topology)
-    }
-
-    fn array_spec(&self, r: ArrayRef) -> Result<&DeviceSpec, ResourceError> {
-        self.topology
-            .site(r.site)
-            .array_slots
-            .get(r.slot)
-            .ok_or(ResourceError::NoSuchArraySlot { site: r.site, slot: r.slot })
-    }
-
-    fn tape_spec(&self, r: TapeRef) -> Result<&DeviceSpec, ResourceError> {
-        self.topology
-            .site(r.site)
-            .tape_slots
-            .get(r.slot)
-            .ok_or(ResourceError::NoSuchTapeSlot { site: r.site, slot: r.slot })
     }
 
     fn array_index(&self, r: ArrayRef) -> usize {
@@ -369,14 +371,14 @@ impl Provision {
         capacity: Gigabytes,
         bandwidth: MegabytesPerSec,
     ) -> Result<(), ResourceError> {
-        let spec = self.array_spec(r)?.clone();
+        let spec = array_spec(&self.topology, r)?;
         let idx = self.array_index(r);
         let state = self.arrays[idx].clone().unwrap_or_default();
         let new_cap = state.alloc_capacity + capacity;
         let new_bw = state.alloc_bandwidth + bandwidth;
         let (units, _) = spec
             .units_for(new_cap, new_bw)
-            .ok_or_else(|| ResourceError::DeviceExhausted { device: format!("{spec} @ {r}") })?;
+            .ok_or(ResourceError::DeviceExhausted { device: DeviceRef::Array(r) })?;
         self.arrays[idx] = Some(ArrayState {
             capacity_units: units,
             extra_units: state.extra_units,
@@ -401,14 +403,14 @@ impl Provision {
         capacity: Gigabytes,
         bandwidth: MegabytesPerSec,
     ) -> Result<(), ResourceError> {
-        let spec = self.tape_spec(r)?.clone();
+        let spec = tape_spec(&self.topology, r)?;
         let idx = self.tape_index(r);
         let state = self.tapes[idx].clone().unwrap_or_default();
         let new_cap = state.alloc_capacity + capacity;
         let new_bw = state.alloc_bandwidth + bandwidth;
         let (cartridges, drives) = spec
             .units_for(new_cap, new_bw)
-            .ok_or_else(|| ResourceError::DeviceExhausted { device: format!("{spec} @ {r}") })?;
+            .ok_or(ResourceError::DeviceExhausted { device: DeviceRef::Tape(r) })?;
         self.tapes[idx] = Some(TapeState {
             cartridges,
             drives,
@@ -436,7 +438,7 @@ impl Provision {
         bandwidth: MegabytesPerSec,
     ) -> Result<RouteId, ResourceError> {
         let route = self.topology.route_between(a, b).ok_or(ResourceError::NoRoute { a, b })?;
-        let spec = self.topology.route(route).network.clone();
+        let spec = &self.topology.route(route).network;
         let state = &self.links[route.0];
         let new_bw = state.alloc_bandwidth + bandwidth;
         let links = spec.links_for(new_bw).ok_or(ResourceError::RouteExhausted { route })?;
@@ -514,8 +516,8 @@ impl Provision {
             return;
         };
         for (r, cap, bw) in ledger.arrays {
+            let spec = array_spec(&self.topology, r).expect("ledger refers to valid slot");
             let idx = self.array_index(r);
-            let spec = self.array_spec(r).expect("ledger refers to valid slot").clone();
             let state = self.arrays[idx].as_mut().expect("allocated array exists");
             state.alloc_capacity -= cap;
             state.alloc_bandwidth -= bw;
@@ -529,8 +531,8 @@ impl Provision {
             }
         }
         for (r, cap, bw) in ledger.tapes {
+            let spec = tape_spec(&self.topology, r).expect("ledger refers to valid slot");
             let idx = self.tape_index(r);
-            let spec = self.tape_spec(r).expect("ledger refers to valid slot").clone();
             let state = self.tapes[idx].as_mut().expect("allocated tape exists");
             state.alloc_capacity -= cap;
             state.alloc_bandwidth -= bw;
@@ -545,7 +547,7 @@ impl Provision {
             }
         }
         for (route, bw) in ledger.routes {
-            let spec = self.topology.route(route).network.clone();
+            let spec = &self.topology.route(route).network;
             let state = &mut self.links[route.0];
             state.alloc_bandwidth -= bw;
             state.links =
@@ -577,15 +579,14 @@ impl Provision {
     /// [`ResourceError::ExtraUnitsExceedMaximum`] if the array is not
     /// instantiated or the total would exceed the spec maximum.
     pub fn add_extra_array_units(&mut self, r: ArrayRef, extra: u32) -> Result<(), ResourceError> {
-        let spec = self.array_spec(r)?.clone();
+        let spec = array_spec(&self.topology, r)?;
         let idx = self.array_index(r);
+        let device = DeviceRef::Array(r);
         let Some(state) = self.arrays[idx].as_mut() else {
-            return Err(ResourceError::ExtraUnitsExceedMaximum {
-                device: format!("{spec} @ {r} (not instantiated)"),
-            });
+            return Err(ResourceError::ExtraUnitsExceedMaximum { device, instantiated: false });
         };
         if state.capacity_units + state.extra_units + extra > spec.max_capacity_units {
-            return Err(ResourceError::ExtraUnitsExceedMaximum { device: format!("{spec} @ {r}") });
+            return Err(ResourceError::ExtraUnitsExceedMaximum { device, instantiated: true });
         }
         state.extra_units += extra;
         Ok(())
@@ -597,15 +598,14 @@ impl Provision {
     ///
     /// [`ResourceError::ExtraUnitsExceedMaximum`] as for arrays.
     pub fn add_extra_tape_drives(&mut self, r: TapeRef, extra: u32) -> Result<(), ResourceError> {
-        let spec = self.tape_spec(r)?.clone();
+        let spec = tape_spec(&self.topology, r)?;
         let idx = self.tape_index(r);
+        let device = DeviceRef::Tape(r);
         let Some(state) = self.tapes[idx].as_mut() else {
-            return Err(ResourceError::ExtraUnitsExceedMaximum {
-                device: format!("{spec} @ {r} (not instantiated)"),
-            });
+            return Err(ResourceError::ExtraUnitsExceedMaximum { device, instantiated: false });
         };
         if state.drives + state.extra_drives + extra > spec.max_bandwidth_units {
-            return Err(ResourceError::ExtraUnitsExceedMaximum { device: format!("{spec} @ {r}") });
+            return Err(ResourceError::ExtraUnitsExceedMaximum { device, instantiated: true });
         }
         state.extra_drives += extra;
         Ok(())
@@ -618,10 +618,13 @@ impl Provision {
     /// [`ResourceError::ExtraUnitsExceedMaximum`] if the total would
     /// exceed the route's link maximum.
     pub fn add_extra_links(&mut self, r: RouteId, extra: u32) -> Result<(), ResourceError> {
-        let spec = self.topology.route(r).network.clone();
+        let max_links = self.topology.route(r).network.max_links;
         let state = &mut self.links[r.0];
-        if state.links + state.extra_links + extra > spec.max_links {
-            return Err(ResourceError::ExtraUnitsExceedMaximum { device: format!("network {r}") });
+        if state.links + state.extra_links + extra > max_links {
+            return Err(ResourceError::ExtraUnitsExceedMaximum {
+                device: DeviceRef::Route(r),
+                instantiated: true,
+            });
         }
         state.extra_links += extra;
         Ok(())
@@ -632,13 +635,13 @@ impl Provision {
     #[must_use]
     pub fn device_bandwidth(&self, d: DeviceRef) -> MegabytesPerSec {
         match d {
-            DeviceRef::Array(r) => match (self.array(r), self.array_spec(r)) {
+            DeviceRef::Array(r) => match (self.array(r), array_spec(&self.topology, r)) {
                 (Some(s), Ok(spec)) => {
                     spec.effective_bandwidth(s.capacity_units + s.extra_units, 0)
                 }
                 _ => MegabytesPerSec::ZERO,
             },
-            DeviceRef::Tape(r) => match (self.tape(r), self.tape_spec(r)) {
+            DeviceRef::Tape(r) => match (self.tape(r), tape_spec(&self.topology, r)) {
                 (Some(s), Ok(spec)) => {
                     spec.effective_bandwidth(s.cartridges, s.drives + s.extra_drives)
                 }
@@ -764,72 +767,73 @@ impl Provision {
             .collect()
     }
 
-    /// Itemized purchase outlay, one line per device, compute pool,
-    /// facility and route, in the exact order [`Provision::purchase_outlay`]
-    /// visits them. Folding the items' `purchase` fields left-to-right
-    /// reproduces the aggregate outlay bit-for-bit — `purchase_outlay` is
-    /// itself implemented as that fold.
-    #[must_use]
-    pub fn outlay_items(&self) -> Vec<OutlayItem> {
-        let mut items = Vec::new();
+    /// Visits every purchase-outlay line in the one fixed order (per
+    /// site: arrays, tape libraries, compute, facility; then routes),
+    /// handing over its kind, its purchase price and a way to build its
+    /// label. Both [`Provision::purchase_outlay`] and
+    /// [`Provision::outlay_items`] are folds of this walk, so the price
+    /// of a line has one formula and the aggregate never builds a label.
+    fn walk_outlay(&self, mut visit: impl FnMut(OutlayKind, Dollars, &dyn Fn() -> String)) {
         for site in self.topology.sites() {
-            for slot in 0..site.array_slots.len() {
+            for (slot, spec) in site.array_slots.iter().enumerate() {
                 let r = ArrayRef { site: site.id, slot };
                 if let Some(s) = self.array(r) {
-                    let spec = &site.array_slots[slot];
-                    items.push(OutlayItem {
-                        kind: OutlayKind::DiskArray,
-                        label: format!("{r} ({})", spec.name),
-                        purchase: spec.purchase_cost(s.capacity_units + s.extra_units, 0),
-                    });
+                    let purchase = spec.purchase_cost(s.capacity_units + s.extra_units, 0);
+                    visit(OutlayKind::DiskArray, purchase, &|| format!("{r} ({})", spec.name));
                 }
             }
-            for slot in 0..site.tape_slots.len() {
+            for (slot, spec) in site.tape_slots.iter().enumerate() {
                 let r = TapeRef { site: site.id, slot };
                 if let Some(s) = self.tape(r) {
-                    let spec = &site.tape_slots[slot];
-                    items.push(OutlayItem {
-                        kind: OutlayKind::TapeLibrary,
-                        label: format!("{r} ({})", spec.name),
-                        purchase: spec.purchase_cost(s.cartridges, s.drives + s.extra_drives),
-                    });
+                    let purchase = spec.purchase_cost(s.cartridges, s.drives + s.extra_drives);
+                    visit(OutlayKind::TapeLibrary, purchase, &|| format!("{r} ({})", spec.name));
                 }
             }
-            items.push(OutlayItem {
-                kind: OutlayKind::SpareCompute,
-                label: format!("compute@{} ({} servers)", site.id, self.compute[site.id.0].total()),
-                purchase: site.compute.cost_per_server * f64::from(self.compute[site.id.0].total()),
-            });
+            let servers = self.compute[site.id.0].total();
+            visit(
+                OutlayKind::SpareCompute,
+                site.compute.cost_per_server * f64::from(servers),
+                &|| format!("compute@{} ({servers} servers)", site.id),
+            );
             if self.site_in_use(site.id) {
-                items.push(OutlayItem {
-                    kind: OutlayKind::Facility,
-                    label: format!("facility@{} ({})", site.id, site.name),
-                    purchase: site.facility_cost,
+                visit(OutlayKind::Facility, site.facility_cost, &|| {
+                    format!("facility@{} ({})", site.id, site.name)
                 });
             }
         }
         for rid in self.topology.route_ids() {
             let st = &self.links[rid.0];
-            let route = self.topology.route(rid);
-            items.push(OutlayItem {
-                kind: OutlayKind::NetworkLink,
-                label: format!("{rid} ({} links)", st.links + st.extra_links),
-                purchase: route.network.cost_per_link * f64::from(st.links + st.extra_links),
-            });
+            let links = st.links + st.extra_links;
+            visit(
+                OutlayKind::NetworkLink,
+                self.topology.route(rid).network.cost_per_link * f64::from(links),
+                &|| format!("{rid} ({links} links)"),
+            );
         }
+    }
+
+    /// Itemized purchase outlay, one line per device, compute pool,
+    /// facility and route, in the exact order [`Provision::purchase_outlay`]
+    /// adds them up. Folding the items' `purchase` fields left-to-right
+    /// reproduces the aggregate outlay bit-for-bit: both are folds of the
+    /// same walk.
+    #[must_use]
+    pub fn outlay_items(&self) -> Vec<OutlayItem> {
+        let mut items = Vec::new();
+        self.walk_outlay(|kind, purchase, label| {
+            items.push(OutlayItem { kind, label: label(), purchase });
+        });
         items
     }
 
     /// Unamortized purchase price of the whole provisioned infrastructure,
-    /// including facility costs of used sites. Defined as the in-order fold
-    /// of [`Provision::outlay_items`], so the itemization is bit-identical
-    /// to the aggregate by construction.
+    /// including facility costs of used sites: the in-order sum of the
+    /// [`Provision::outlay_items`] purchases, without building their
+    /// labels.
     #[must_use]
     pub fn purchase_outlay(&self) -> Dollars {
         let mut total = Dollars::ZERO;
-        for item in self.outlay_items() {
-            total += item.purchase;
-        }
+        self.walk_outlay(|_, purchase, _| total += purchase);
         total
     }
 
@@ -989,7 +993,7 @@ mod tests {
         let err = p
             .alloc_array(AppId(1), msa, Gigabytes::new(1.0), MegabytesPerSec::new(100.0))
             .unwrap_err();
-        assert!(matches!(err, ResourceError::DeviceExhausted { .. }));
+        assert_eq!(err, ResourceError::DeviceExhausted { device: DeviceRef::Array(msa) });
         let s = p.array(msa).unwrap();
         assert_eq!(s.alloc_capacity.as_f64(), 500.0, "failed alloc must not mutate");
         assert!(!p.ledgers.contains_key(&AppId(1)));
@@ -1070,9 +1074,17 @@ mod tests {
     #[test]
     fn extras_rejected_without_instance_or_beyond_max() {
         let mut p = Provision::new(topology());
-        assert!(p.add_extra_array_units(A0, 1).is_err(), "not instantiated");
+        let array = DeviceRef::Array(A0);
+        assert_eq!(
+            p.add_extra_array_units(A0, 1),
+            Err(ResourceError::ExtraUnitsExceedMaximum { device: array, instantiated: false })
+        );
         p.alloc_array(APP, A0, Gigabytes::new(143.0), MegabytesPerSec::ZERO).unwrap();
-        assert!(p.add_extra_array_units(A0, 2000).is_err(), "beyond max disks");
+        assert_eq!(
+            p.add_extra_array_units(A0, 2000),
+            Err(ResourceError::ExtraUnitsExceedMaximum { device: array, instantiated: true }),
+            "beyond max disks"
+        );
         p.alloc_tape(
             APP,
             TapeRef::first(SiteId(0)),

@@ -1,12 +1,14 @@
 //! Stateful property tests: random allocate/remove sequences must keep
-//! every `Provision` invariant.
+//! every `Provision` invariant, and the aggregate outlay must stay the
+//! in-order sum of its itemization.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use dsd_resources::{
-    ArrayRef, DeviceRef, DeviceSpec, NetworkSpec, Provision, Site, SiteId, TapeRef, Topology,
+    ArrayRef, DeviceRef, DeviceSpec, NetworkSpec, Provision, RouteId, Site, SiteId, TapeRef,
+    Topology,
 };
 use dsd_units::{Dollars, Gigabytes, MegabytesPerSec};
 use dsd_workload::AppId;
@@ -30,6 +32,9 @@ enum Op {
     AllocNetwork { app: u8, a: u8, b: u8, bw: f64 },
     AllocCompute { app: u8, site: u8 },
     RemoveApp { app: u8 },
+    AddArrayUnits { site: u8, slot: u8, extra: u32 },
+    AddTapeDrives { site: u8, extra: u32 },
+    AddLinks { route: u8, extra: u32 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -47,6 +52,71 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..6, 0u8..3).prop_map(|(app, site)| Op::AllocCompute { app, site }),
         (0u8..6).prop_map(|app| Op::RemoveApp { app }),
     ]
+}
+
+/// [`op_strategy`] plus extra units on arrays, tape libraries and routes.
+/// Extra links may land on a route no allocation uses and outlive every
+/// application, so these sequences do not drain to an empty provision.
+fn op_with_extras_strategy() -> impl Strategy<Value = Op> {
+    let extras = prop_oneof![
+        (0u8..3, 0u8..2, 1u32..40).prop_map(|(site, slot, extra)| Op::AddArrayUnits {
+            site,
+            slot,
+            extra
+        }),
+        (0u8..3, 1u32..8).prop_map(|(site, extra)| Op::AddTapeDrives { site, extra }),
+        (0u8..3, 1u32..8).prop_map(|(route, extra)| Op::AddLinks { route, extra }),
+    ];
+    // Two parts allocations and removals to one part extras.
+    prop_oneof![op_strategy(), op_strategy(), extras]
+}
+
+/// Applies one operation; a refused operation leaves the provision as it
+/// was, which the invariants check.
+fn apply(p: &mut Provision, op: Op) {
+    let array = |site: u8, slot: u8| ArrayRef { site: SiteId(site as usize), slot: slot as usize };
+    let tape = |site: u8| TapeRef::first(SiteId(site as usize));
+    match op {
+        Op::AllocArray { app, site, slot, cap, bw } => {
+            let _ = p.alloc_array(
+                AppId(app as usize),
+                array(site, slot),
+                Gigabytes::new(cap),
+                MegabytesPerSec::new(bw),
+            );
+        }
+        Op::AllocTape { app, site, cap, bw } => {
+            let _ = p.alloc_tape(
+                AppId(app as usize),
+                tape(site),
+                Gigabytes::new(cap),
+                MegabytesPerSec::new(bw),
+            );
+        }
+        Op::AllocNetwork { app, a, b, bw } => {
+            if a != b {
+                let _ = p.alloc_network(
+                    AppId(app as usize),
+                    SiteId(a as usize),
+                    SiteId(b as usize),
+                    MegabytesPerSec::new(bw),
+                );
+            }
+        }
+        Op::AllocCompute { app, site } => {
+            let _ = p.alloc_compute(AppId(app as usize), SiteId(site as usize), 1);
+        }
+        Op::RemoveApp { app } => p.remove_app(AppId(app as usize)),
+        Op::AddArrayUnits { site, slot, extra } => {
+            let _ = p.add_extra_array_units(array(site, slot), extra);
+        }
+        Op::AddTapeDrives { site, extra } => {
+            let _ = p.add_extra_tape_drives(tape(site), extra);
+        }
+        Op::AddLinks { route, extra } => {
+            let _ = p.add_extra_links(RouteId(route as usize), extra);
+        }
+    }
 }
 
 /// Every invariant that must hold after *any* operation sequence.
@@ -108,40 +178,7 @@ proptest! {
         let topo = topology();
         let mut p = Provision::new(topo.clone());
         for op in ops {
-            match op {
-                Op::AllocArray { app, site, slot, cap, bw } => {
-                    let r = ArrayRef { site: SiteId(site as usize), slot: slot as usize };
-                    let _ = p.alloc_array(
-                        AppId(app as usize),
-                        r,
-                        Gigabytes::new(cap),
-                        MegabytesPerSec::new(bw),
-                    );
-                }
-                Op::AllocTape { app, site, cap, bw } => {
-                    let r = TapeRef::first(SiteId(site as usize));
-                    let _ = p.alloc_tape(
-                        AppId(app as usize),
-                        r,
-                        Gigabytes::new(cap),
-                        MegabytesPerSec::new(bw),
-                    );
-                }
-                Op::AllocNetwork { app, a, b, bw } => {
-                    if a != b {
-                        let _ = p.alloc_network(
-                            AppId(app as usize),
-                            SiteId(a as usize),
-                            SiteId(b as usize),
-                            MegabytesPerSec::new(bw),
-                        );
-                    }
-                }
-                Op::AllocCompute { app, site } => {
-                    let _ = p.alloc_compute(AppId(app as usize), SiteId(site as usize), 1);
-                }
-                Op::RemoveApp { app } => p.remove_app(AppId(app as usize)),
-            }
+            apply(&mut p, op);
             check_invariants(&p, &topo);
         }
 
@@ -152,6 +189,26 @@ proptest! {
         check_invariants(&p, &topo);
         prop_assert_eq!(p.purchase_outlay(), Dollars::ZERO);
         prop_assert_eq!(p.allocated_apps().count(), 0);
+    }
+
+    #[test]
+    fn purchase_outlay_is_the_in_order_sum_of_the_items(
+        ops in prop::collection::vec(op_with_extras_strategy(), 1..60)
+    ) {
+        let mut p = Provision::new(topology());
+        for op in ops {
+            apply(&mut p, op);
+            let mut folded = Dollars::ZERO;
+            for item in p.outlay_items() {
+                folded += item.purchase;
+            }
+            prop_assert_eq!(
+                p.purchase_outlay().as_f64().to_bits(),
+                folded.as_f64().to_bits(),
+                "{:?}",
+                p.outlay_items()
+            );
+        }
     }
 
     #[test]

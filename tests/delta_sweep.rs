@@ -2,10 +2,14 @@
 //! resource-addition pass explores from a solved four_sites(16) design:
 //! every delta cost must bit-equal the full oracle (clone, apply the
 //! move, evaluate), and one shared scenario cache must replay more
-//! scenario outcomes than it recomputes.
+//! scenario outcomes than it recomputes. A greedy sweep does the same
+//! for the insertions that build a design from an empty candidate.
 
-use dsd::core::{Budget, Candidate, DesignSolver, Environment, Move, ScenarioOutcomeCache};
+use dsd::core::{
+    Budget, Candidate, DesignSolver, Environment, Move, PlacementOptions, ScenarioOutcomeCache,
+};
 use dsd::obs::Recorder;
+use dsd::scenarios::fleet::{fleet, FleetParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -81,4 +85,75 @@ fn delta_sweep_matches_the_full_oracle_and_mostly_replays_scenarios() {
         "{} moves: {hits} scenario outcomes replayed, {recomputed} recomputed",
         moves.len()
     );
+}
+
+/// Greedy best-fit from an empty candidate, the applications in id
+/// order: every eligible technique × placement of the next application
+/// is tried as an insertion on the one candidate. In place, with one
+/// shared scenario cache, each trial's cost must bit-equal the full
+/// oracle (clone, apply the move, evaluate), and after the undo the
+/// candidate must price exactly as before the trial. The cheapest trial
+/// is committed before the next application. Returns the number of
+/// trials priced.
+fn insertion_sweep(env: &Environment) -> usize {
+    let mut candidate = Candidate::empty(env);
+    let mut cache = ScenarioOutcomeCache::new();
+    let mut trials = 0;
+    for app in env.workloads.ids() {
+        let before = candidate.clone().evaluate(env).total().as_f64().to_bits();
+        let class = env.workloads[app].class_with(&env.thresholds);
+        let mut best: Option<(f64, Move)> = None;
+        for (technique, t) in env.catalog.eligible_for(class) {
+            for placement in PlacementOptions::enumerate(env, technique) {
+                let mv = Move::Reassign { app, technique, config: t.default_config(), placement };
+                let mut oracle = candidate.clone();
+                let expected =
+                    oracle.apply_move(env, &mv).ok().map(|_| oracle.evaluate(env).total());
+                let Ok(undo) = candidate.apply_move(env, &mv) else {
+                    assert_eq!(expected, None, "{mv:?}: only the oracle applies");
+                    continue;
+                };
+                let cost = candidate.evaluate_with(env, &mut cache).total();
+                assert_eq!(
+                    Some(cost.as_f64().to_bits()),
+                    expected.map(|c| c.as_f64().to_bits()),
+                    "{mv:?}: in-place and full evaluation disagree"
+                );
+                candidate.undo_move(undo);
+                let undone = candidate.evaluate_with(env, &mut cache).total();
+                assert_eq!(
+                    undone.as_f64().to_bits(),
+                    before,
+                    "{mv:?}: the undo prices differently"
+                );
+                trials += 1;
+                if best.as_ref().is_none_or(|&(c, _)| cost.as_f64() < c) {
+                    best = Some((cost.as_f64(), mv));
+                }
+            }
+        }
+        if let Some((_, mv)) = best {
+            candidate.apply_move(env, &mv).expect("the cheapest trial applies again");
+        }
+    }
+    let expected = candidate.clone().evaluate(env).total().as_f64().to_bits();
+    assert_eq!(candidate.evaluate_with(env, &mut cache).total().as_f64().to_bits(), expected);
+    assert!(candidate.assigned_count() > 0, "the sweep placed applications");
+    trials
+}
+
+#[test]
+fn insertion_sweep_matches_the_full_oracle() {
+    let env = dsd::scenarios::environments::four_sites(16);
+    assert!(insertion_sweep(&env) > 0);
+}
+
+/// Fleet sites have several array slots and shared routes, so one
+/// insertion stales many applications' fingerprints. About a second in
+/// release: `cargo test --release --test delta_sweep -- --ignored`.
+#[test]
+#[ignore = "fleet scale; run in release"]
+fn fleet32_insertion_sweep_matches_the_full_oracle() {
+    let env = fleet(&FleetParams::new(32));
+    assert!(insertion_sweep(&env) > 0);
 }
