@@ -636,17 +636,53 @@ impl Candidate {
         env: &Environment,
         cache: &mut ScenarioOutcomeCache,
     ) -> &CostBreakdown {
+        self.score_below(env, cache, None);
+        self.cost.as_ref().expect("an unbounded pricing stores the cost")
+    }
+
+    /// Bounded pricing for argmin trial loops: the objective score of
+    /// the candidate if it is below `bound`, else `None`. `Some(score)`
+    /// has the bits of `env.score(self.evaluate_with(env, cache))`; a
+    /// `None` bound bounds nothing, so the score is always returned.
+    ///
+    /// The penalty fold stops as soon as the score of its running
+    /// totals reaches the bound. Penalty items are non-negative and both
+    /// objectives are monotone in the penalty total, so a stopped
+    /// candidate's final score could only have reached the bound as
+    /// well (DESIGN.md §6f). A fold that runs to the end stores the
+    /// cost as [`Candidate::evaluate_with`] does; a stopped one stores
+    /// nothing. A NaN running total never stops the fold; a NaN score
+    /// is below no bound, and nothing is below a NaN bound.
+    ///
+    /// This is the one pricing routine: [`Candidate::evaluate_with`] is
+    /// its unbounded case, so both run one memo refresh, one digest
+    /// build and one penalty fold.
+    pub fn score_below(
+        &mut self,
+        env: &Environment,
+        cache: &mut ScenarioOutcomeCache,
+        bound: Option<Dollars>,
+    ) -> Option<Dollars> {
         if self.cost.is_none() {
             self.refresh_memo(env);
+            let outlay = self.provision.annual_outlay() + self.vault_media_annual(env);
             let EvalMemo { protections, fingerprints, scenarios, digests, .. } = &mut self.memo;
             let digests = digests.build(scenarios, fingerprints);
             let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
-            let penalties =
-                evaluator.annual_penalties_cached(protections, scenarios, digests, cache);
-            let outlay = self.provision.annual_outlay() + self.vault_media_annual(env);
+            let reached = |outage: Dollars, loss: Dollars| {
+                bound.is_some_and(|bound| env.objective.score_parts(outlay, outage + loss) >= bound)
+            };
+            let penalties = evaluator.annual_penalties_cached(
+                protections,
+                scenarios,
+                digests,
+                cache,
+                reached,
+            )?;
             self.cost = Some(CostBreakdown { outlay, penalties });
         }
-        self.cost.as_ref().expect("just computed")
+        let score = env.score(self.cost.as_ref().expect("priced above"));
+        bound.is_none_or(|bound| score < bound).then_some(score)
     }
 
     /// Brings the evaluation memo up to date with the candidate's state,
@@ -693,7 +729,10 @@ impl Candidate {
     /// scenarios whose dependency slice the move changed are recomputed;
     /// the rest replay from `cache`. Returns the post-move cost and the
     /// undo token. The candidate is left with the move applied — call
-    /// [`Candidate::undo_move`] to reject the trial.
+    /// [`Candidate::undo_move`] to reject the trial. Trial loops that
+    /// keep only the cheapest trial price with
+    /// [`Candidate::score_below`] instead, which neither clones the
+    /// breakdown nor folds past a lost trial.
     ///
     /// # Errors
     ///

@@ -125,7 +125,9 @@ impl<'e> ConfigurationSolver<'e> {
     /// Trials are config-only [`Move::Reassign`]s applied and undone in
     /// place; the incumbent cost is evaluated lazily once and carried
     /// across applications (an accepted trial's cost becomes the next
-    /// incumbent) instead of being re-evaluated per app.
+    /// incumbent) instead of being re-evaluated per app. Each trial is
+    /// priced against the incumbent, so a losing one stops folding
+    /// penalties early ([`Candidate::score_below`]).
     fn optimize_configs(&self, candidate: &mut Candidate, scache: &mut ScenarioOutcomeCache) {
         let mut apps: Vec<AppId> = candidate.assignments().keys().copied().collect();
         apps.sort_by(|&a, &b| {
@@ -161,8 +163,7 @@ impl<'e> ConfigurationSolver<'e> {
                     continue;
                 };
                 obs::add(mv.trial_counter(), 1);
-                let cost = self.env.score(candidate.evaluate_with(self.env, scache));
-                if cost < best_cost {
+                if let Some(cost) = candidate.score_below(self.env, scache, Some(best_cost)) {
                     best_cost = cost;
                     best_config = config;
                     obs::add(mv.accept_counter(), 1);
@@ -179,7 +180,9 @@ impl<'e> ConfigurationSolver<'e> {
     /// one tape drive / one disk to each provisioned device — as in-place
     /// applied-and-undone [`Move`]s, not candidate clones — apply the
     /// single best cost-reducing addition, and stop when nothing improves
-    /// (or after `max_additions` steps). Returns the steps applied.
+    /// (or after `max_additions` steps). Each trial is priced against the
+    /// best addition so far, or the current cost before there is one.
+    /// Returns the steps applied.
     fn add_resources(
         &self,
         candidate: &mut Candidate,
@@ -206,9 +209,13 @@ impl<'e> ConfigurationSolver<'e> {
                     continue;
                 };
                 obs::add(mv.trial_counter(), 1);
-                let cost = self.env.score(candidate.evaluate_with(self.env, scache));
+                // An accepted addition already beats `base`, so the best
+                // so far is the stricter bound; a NaN `base` bounds every
+                // trial out, as `cost < base` does.
+                let bound = best.as_ref().map_or(base, |&(c, _)| c);
+                let cost = candidate.score_below(self.env, scache, Some(bound));
                 candidate.undo_move(undo);
-                if cost < base && best.as_ref().is_none_or(|&(c, _)| cost < c) {
+                if let Some(cost) = cost {
                     best = Some((cost, mv));
                 }
             }

@@ -345,7 +345,9 @@ impl<'e> DesignSolver<'e> {
 
     /// Exhaustively tries every eligible technique × placement for `app`
     /// (default configuration) as in-place applied-and-undone moves, and
-    /// commits the cheapest feasible one.
+    /// commits the cheapest feasible one. Each trial is priced against
+    /// the best so far, so a trial that has already lost stops folding
+    /// penalties (the first is priced in full).
     fn best_fit_assign(
         &self,
         candidate: &mut Candidate,
@@ -363,10 +365,11 @@ impl<'e> DesignSolver<'e> {
                     continue;
                 };
                 obs::add(mv.trial_counter(), 1);
-                let cost = self.env.score(candidate.evaluate_with(self.env, scache));
+                let bound = best.as_ref().map(|&(c, _)| c);
+                let cost = candidate.score_below(self.env, scache, bound);
                 stats.nodes_evaluated += 1;
                 candidate.undo_move(undo);
-                if best.as_ref().is_none_or(|&(c, _)| cost < c) {
+                if let Some(cost) = cost {
                     best = Some((cost, mv));
                 }
             }

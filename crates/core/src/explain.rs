@@ -246,7 +246,8 @@ pub struct RunnerUp {
 
 /// Computes, for every assigned application, the marginal cost of its
 /// chosen technique against the cheapest eligible alternative. Trials
-/// are clone-free applied-and-undone [`Move`]s; the candidate is
+/// are clone-free applied-and-undone [`Move`]s, each priced against the
+/// runner-up so far ([`Candidate::score_below`]); the candidate is
 /// restored bit-exactly afterwards.
 #[must_use]
 pub fn technique_marginals(
@@ -271,12 +272,12 @@ pub fn technique_marginals(
         for (tid, name, config) in alternatives {
             for placement in PlacementOptions::enumerate(env, tid) {
                 let mv = Move::Reassign { app, technique: tid, config, placement };
-                let Ok((cost, undo)) = candidate.evaluate_delta(env, &mv, cache) else {
+                let Ok(undo) = candidate.apply_move(env, &mv) else {
                     continue;
                 };
-                let total = env.score(&cost);
+                let total = candidate.score_below(env, cache, runner.as_ref().map(|r| r.total));
                 candidate.undo_move(undo);
-                if runner.as_ref().is_none_or(|r| total.as_f64() < r.total.as_f64()) {
+                if let Some(total) = total {
                     runner = Some(RunnerUp {
                         technique: name.clone(),
                         total,
@@ -372,6 +373,57 @@ mod tests {
         let app = attribution.penalty_items[0].app;
         for item in attribution.top_items_for(app, 2) {
             assert_eq!(item.app, app);
+        }
+    }
+
+    /// The bounded trial loop finds what pricing every trial in full
+    /// finds: the first cheapest alternative, bit for bit.
+    #[test]
+    fn technique_marginals_match_a_brute_force_minimum() {
+        let env = env();
+        let mut candidate = solved(&env);
+        let chosen_total = env.score(candidate.evaluate(&env));
+        let recorder = dsd_obs::Recorder::new();
+        let marginals = {
+            let _g = recorder.install();
+            technique_marginals(&env, &mut candidate, &mut ScenarioOutcomeCache::new())
+        };
+        let stopped = recorder.metrics_snapshot().counter("recovery.folds_stopped").unwrap_or(0);
+        assert!(stopped > 0, "some losing trial stops its fold early");
+
+        for m in &marginals {
+            let chosen = candidate.assignment(m.app).expect("assigned").technique;
+            let class = env.workloads[m.app].class_with(&env.thresholds);
+            let mut brute: Option<(String, Dollars)> = None;
+            for (tid, t) in env.catalog.eligible_for(class).filter(|&(tid, _)| tid != chosen) {
+                for placement in PlacementOptions::enumerate(&env, tid) {
+                    let mv = Move::Reassign {
+                        app: m.app,
+                        technique: tid,
+                        config: t.default_config(),
+                        placement,
+                    };
+                    let mut trial = candidate.clone();
+                    if trial.apply_move(&env, &mv).is_err() {
+                        continue;
+                    }
+                    let total = env.score(trial.evaluate(&env));
+                    if brute.as_ref().is_none_or(|(_, best)| total < *best) {
+                        brute = Some((t.name.clone(), total));
+                    }
+                }
+            }
+            assert_eq!(
+                m.runner_up.as_ref().map(|r| (r.technique.as_str(), r.total.as_f64().to_bits())),
+                brute.as_ref().map(|(name, total)| (name.as_str(), total.as_f64().to_bits())),
+                "{}: runner-up",
+                m.app
+            );
+            assert_eq!(m.chosen_total.as_f64().to_bits(), chosen_total.as_f64().to_bits());
+            if let Some(r) = &m.runner_up {
+                let marginal = r.total.as_f64() - chosen_total.as_f64();
+                assert_eq!(r.marginal.to_bits(), marginal.to_bits());
+            }
         }
     }
 

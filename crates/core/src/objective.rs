@@ -37,11 +37,20 @@ impl Objective {
     /// The scalar score the solvers minimize (lower is better).
     #[must_use]
     pub fn score(&self, cost: &CostBreakdown) -> Dollars {
+        self.score_parts(cost.outlay, cost.penalties.total())
+    }
+
+    /// [`Objective::score`] of a design with annual `outlay` and total
+    /// expected `penalties`. Both objectives are monotone in
+    /// `penalties`: a larger penalty total never scores lower, which is
+    /// what lets bounded pricing stop a penalty fold early (DESIGN.md
+    /// §6f).
+    pub(crate) fn score_parts(&self, outlay: Dollars, penalties: Dollars) -> Dollars {
         match self {
-            Objective::MinimizeTotal => cost.total(),
+            Objective::MinimizeTotal => outlay + penalties,
             Objective::PenaltiesWithOutlayCap { cap } => {
-                let overrun = cost.outlay - *cap; // saturating at zero
-                cost.penalties.total() + overrun * Self::OVERRUN_WEIGHT
+                let overrun = outlay - *cap; // saturating at zero
+                penalties + overrun * Self::OVERRUN_WEIGHT
             }
         }
     }

@@ -6,7 +6,7 @@
 //! exact candidate state.
 
 use dsd_core::{
-    scenario_digests, Candidate, CandidateKey, ConfigurationSolver, Environment, Move,
+    scenario_digests, Candidate, CandidateKey, ConfigurationSolver, Environment, Move, Objective,
     PlacementOptions, ScenarioOutcomeCache, Thoroughness,
 };
 use dsd_failure::{FailureModel, FailureRates};
@@ -14,6 +14,7 @@ use dsd_obs as obs;
 use dsd_protection::TechniqueCatalog;
 use dsd_recovery::Evaluator;
 use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
+use dsd_units::Dollars;
 use dsd_workload::{AppId, GeneratorConfig, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -253,6 +254,70 @@ proptest! {
         prop_assert_eq!(cold.assignments(), warm2.assignments());
         prop_assert_eq!(cold.provision(), warm2.provision());
         assert_cost_bits_equal(&cold_cost, &oracle(&env, &cold));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Bounded pricing is exact: on random trial moves,
+    /// `Candidate::score_below` returns the oracle score's bits exactly
+    /// when that score is below the bound (no bound bounds nothing) and
+    /// `None` otherwise, under both objectives, for bounds at, beside,
+    /// well below and well above the score, infinite and NaN. Each bound
+    /// prices the trial afresh, and afterwards the trial still prices as
+    /// the oracle does.
+    #[test]
+    fn bounded_pricing_is_below_the_bound_exactly_when_the_oracle_is(
+        seed in 0u64..1000,
+        sites in 2usize..4,
+        apps in 2usize..5,
+        steps in 3usize..10,
+        capped in any::<bool>(),
+    ) {
+        let mut env = random_env(seed, sites, apps);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB0D);
+        let Some(mut c) = candidate_with_gaps(&env, &mut rng) else { return Ok(()); };
+        let mut scache = ScenarioOutcomeCache::new();
+        if capped {
+            // A cap just under the start's outlay: some trials overrun.
+            let outlay = c.evaluate_with(&env, &mut scache).outlay;
+            env.objective = Objective::PenaltiesWithOutlayCap { cap: outlay * 0.999 };
+        }
+        let nan = Dollars::INFINITE * 0.0;
+        for _ in 0..steps {
+            let Some(mv) = random_move(&env, &c, &mut rng) else { continue; };
+            let Ok(undo) = c.apply_move(&env, &mv) else { continue; };
+            let full = oracle(&env, &c);
+            let s = env.score(&full);
+            c.undo_move(undo);
+            let bounds = [
+                Some(s),
+                Some(Dollars::new(s.as_f64().next_up())),
+                Some(Dollars::new(s.as_f64().next_down().max(0.0))),
+                Some(s * 0.5),
+                Some(s * 2.0),
+                Some(Dollars::INFINITE),
+                Some(nan),
+                None,
+            ];
+            for bound in bounds {
+                let undo = c.apply_move(&env, &mv).expect("the trial applied before");
+                let got = c.score_below(&env, &mut scache, bound);
+                let below = bound.is_none_or(|b| s < b);
+                prop_assert_eq!(
+                    got.map(|g| g.as_f64().to_bits()),
+                    below.then_some(s.as_f64().to_bits()),
+                    "{:?} bounded by {:?}", mv, bound
+                );
+                c.undo_move(undo);
+            }
+            let undo = c.apply_move(&env, &mv).expect("the trial applied before");
+            assert_cost_bits_equal(c.evaluate_with(&env, &mut scache), &full);
+            if rng.gen_bool(0.5) {
+                c.undo_move(undo);
+            }
+        }
     }
 }
 

@@ -1,6 +1,5 @@
 //! Failure rates and scenario enumeration.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -125,35 +124,48 @@ impl FailureModel {
     ///   site.
     ///
     /// Scenarios whose configured rate is [`PerYear::NEVER`] are skipped.
+    /// Data-object scenarios come in `primaries` order; arrays and sites
+    /// in ascending order.
     #[must_use]
     pub fn enumerate(
         &self,
         primaries: impl IntoIterator<Item = (AppId, ArrayRef)>,
     ) -> Vec<FailureScenario> {
-        let mut apps = Vec::new();
-        let mut arrays = BTreeSet::new();
-        let mut sites = BTreeSet::new();
+        let primaries = primaries.into_iter();
+        let objects = !self.rates.data_object.is_never();
+        let mut out = Vec::with_capacity(if objects { primaries.size_hint().0 } else { 0 });
+        let mut arrays = Vec::with_capacity(primaries.size_hint().0);
         for (app, primary) in primaries {
-            apps.push(app);
-            arrays.insert(primary);
-            sites.insert(primary.site);
+            if objects {
+                out.push(FailureScenario {
+                    scope: FailureScope::DataObject { app },
+                    likelihood: self.rates.data_object,
+                });
+            }
+            arrays.push(primary);
         }
-
-        let mut out = Vec::new();
-        if !self.rates.data_object.is_never() {
-            out.extend(apps.into_iter().map(|app| FailureScenario {
-                scope: FailureScope::DataObject { app },
-                likelihood: self.rates.data_object,
-            }));
-        }
-        if !self.rates.disk_array.is_never() {
-            out.extend(arrays.into_iter().map(|array| FailureScenario {
+        // Sorted by (site, slot), the distinct arrays list each
+        // primary-hosting site in one ascending run.
+        arrays.sort_unstable();
+        arrays.dedup();
+        let sites = || {
+            let mut last = None;
+            arrays.iter().map(|a| a.site).filter(move |&site| last.replace(site) != Some(site))
+        };
+        let arrays_listed = !self.rates.disk_array.is_never();
+        let sites_listed = !self.rates.site_disaster.is_never();
+        out.reserve_exact(
+            if arrays_listed { arrays.len() } else { 0 }
+                + if sites_listed { sites().count() } else { 0 },
+        );
+        if arrays_listed {
+            out.extend(arrays.iter().map(|&array| FailureScenario {
                 scope: FailureScope::DiskArray { array },
                 likelihood: self.rates.disk_array,
             }));
         }
-        if !self.rates.site_disaster.is_never() {
-            out.extend(sites.into_iter().map(|site| FailureScenario {
+        if sites_listed {
+            out.extend(sites().map(|site| FailureScenario {
                 scope: FailureScope::SiteDisaster { site },
                 likelihood: self.rates.site_disaster,
             }));

@@ -14,8 +14,8 @@ use dsd_workload::{AppId, WorkloadSet};
 use crate::policy::RecoveryPolicy;
 use crate::protection::AppProtection;
 use crate::scenario_cache::{ScenarioDigest, ScenarioOutcomeCache};
-use crate::scheduler::{schedule_jobs_with, RecoveryJob};
-use crate::survival::surviving_copies;
+use crate::scheduler::{schedule_into, DeviceTable, JobDevices, RecoveryJob};
+use crate::survival::Survivors;
 
 /// How a failed application was brought back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -308,26 +308,46 @@ impl<'a> Evaluator<'a> {
     /// Evaluates one failure scenario: decides each affected
     /// application's recovery path, schedules contending restore streams
     /// with priority serialization, and returns per-application outage
-    /// and loss times.
+    /// and loss times. Allocates the returned outcomes and, for a
+    /// scenario that schedules restores, one job buffer and one device
+    /// table; a penalty fold shares those two across its scenarios.
     #[must_use]
     pub fn evaluate_scenario(
         &self,
         protections: &[AppProtection],
         scope: &FailureScope,
     ) -> ScenarioOutcome {
-        let mut failover_outcomes = Vec::new();
-        let mut jobs = Vec::new();
-        // (app, path, loss time, failback time) of each job, in job order.
-        let mut job_meta: Vec<(AppId, RecoveryPath, TimeSpan, Option<TimeSpan>)> = Vec::new();
+        let affected =
+            protections.iter().filter(|p| scope.affects_app(p.app, p.placement.primary)).count();
+        let mut scratch = Scratch { outcomes: Vec::with_capacity(affected), ..Scratch::default() };
+        self.recover(protections, scope, &mut scratch);
+        ScenarioOutcome { scope: *scope, outcomes: scratch.outcomes }
+    }
+
+    /// The scenario evaluation behind [`Self::evaluate_scenario`] and
+    /// every penalty fold: writes the outcomes of the applications
+    /// `scope` affects into `scratch.outcomes`, in app order. Restores
+    /// go through `scratch`'s job buffer and device table, so a caller
+    /// that keeps the scratch allocates nothing once its buffers have
+    /// grown.
+    fn recover(&self, protections: &[AppProtection], scope: &FailureScope, scratch: &mut Scratch) {
+        let Scratch { jobs, device_free, outcomes } = scratch;
+        jobs.clear();
+        outcomes.clear();
+        let repair = match scope {
+            FailureScope::DataObject { .. } => TimeSpan::ZERO,
+            FailureScope::DiskArray { .. } => self.policy.array_repair,
+            FailureScope::SiteDisaster { .. } => self.policy.site_rebuild,
+        };
 
         for protection in protections {
             if !scope.affects_app(protection.app, protection.placement.primary) {
                 continue;
             }
             let app = &self.workloads[protection.app];
-            let surviving = surviving_copies(protection, scope);
+            let surviving = Survivors::of(protection, scope);
             if surviving.is_empty() {
-                failover_outcomes.push(AppOutcome {
+                outcomes.push(AppOutcome {
                     app: protection.app,
                     path: RecoveryPath::Unprotected,
                     recovery_time: self.policy.unprotected_recovery,
@@ -345,10 +365,10 @@ impl<'a> Evaluator<'a> {
             // Failover short-circuits restore when the mirror survived and
             // the failover site itself is intact.
             let can_failover = protection.technique.is_failover()
-                && surviving.contains(&CopyKind::Mirror)
+                && surviving.contains(CopyKind::Mirror)
                 && protection.placement.failover_site.is_some_and(|s| !scope.fails_site(s));
             if can_failover {
-                failover_outcomes.push(AppOutcome {
+                outcomes.push(AppOutcome {
                     app: protection.app,
                     path: RecoveryPath::Failover,
                     recovery_time: self.policy.failover_time,
@@ -362,15 +382,10 @@ impl<'a> Evaluator<'a> {
             // (paper §3.2.1).
             let (copy, loss_time) = surviving
                 .iter()
-                .map(|&copy| (copy, staleness(copy)))
+                .map(|copy| (copy, staleness(copy)))
                 .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("staleness values are comparable"))
                 .expect("some copy survived");
 
-            let repair = match scope {
-                FailureScope::DataObject { .. } => TimeSpan::ZERO,
-                FailureScope::DiskArray { .. } => self.policy.array_repair,
-                FailureScope::SiteDisaster { .. } => self.policy.site_rebuild,
-            };
             let lead_time = if copy == CopyKind::Vault {
                 repair.max(self.policy.vault_retrieval)
             } else {
@@ -378,15 +393,15 @@ impl<'a> Evaluator<'a> {
             };
 
             let primary = DeviceRef::Array(protection.placement.primary);
-            let devices: Vec<DeviceRef> = match copy {
-                CopyKind::Snapshot => vec![primary],
+            let devices = match copy {
+                CopyKind::Snapshot => JobDevices::new(&[primary]),
                 CopyKind::Backup | CopyKind::Vault => {
                     let tape = protection.placement.tape.expect("backup copies have a tape");
-                    vec![DeviceRef::Tape(tape), primary]
+                    JobDevices::new(&[DeviceRef::Tape(tape), primary])
                 }
                 CopyKind::Mirror => {
                     let mirror = protection.placement.mirror.expect("mirror copies have an array");
-                    let mut d = vec![DeviceRef::Array(mirror), primary];
+                    let mut d = JobDevices::new(&[DeviceRef::Array(mirror), primary]);
                     if let Some(route) = protection.placement.route {
                         d.push(DeviceRef::Route(route));
                     }
@@ -408,42 +423,46 @@ impl<'a> Evaluator<'a> {
             let promote = copy == CopyKind::Mirror
                 && protection.placement.mirror.is_some_and(|m| !scope.fails_site(m.site))
                 && self.policy.compute_procurement < lead_time + transfer;
-            if promote {
-                job_meta.push((
-                    protection.app,
-                    RecoveryPath::PromoteMirror,
-                    loss_time,
-                    Some(self.failback_time(protection, scope)),
-                ));
-                jobs.push(RecoveryJob {
+            let (path, failback_time, job) = if promote {
+                let job = RecoveryJob {
                     app: protection.app,
                     priority: app.priority(),
                     lead_time: self.policy.compute_procurement,
-                    devices: Vec::new(),
+                    devices: JobDevices::NONE,
                     transfer: TimeSpan::ZERO,
                     tail: self.policy.reconfig_time,
-                });
-                continue;
-            }
-
-            job_meta.push((protection.app, RecoveryPath::Restore(copy), loss_time, None));
-            jobs.push(RecoveryJob {
+                };
+                (RecoveryPath::PromoteMirror, Some(self.failback_time(protection, scope)), job)
+            } else {
+                let job = RecoveryJob {
+                    app: protection.app,
+                    priority: app.priority(),
+                    lead_time,
+                    devices,
+                    transfer,
+                    tail: self.policy.reconfig_time,
+                };
+                (RecoveryPath::Restore(copy), None, job)
+            };
+            jobs.push(SlottedJob { outcome: outcomes.len(), job });
+            // The schedule below fills in the recovery time.
+            outcomes.push(AppOutcome {
                 app: protection.app,
-                priority: app.priority(),
-                lead_time,
-                devices,
-                transfer,
-                tail: self.policy.reconfig_time,
+                path,
+                recovery_time: TimeSpan::ZERO,
+                loss_time,
+                failback_time,
             });
         }
 
-        let schedule = schedule_jobs_with(jobs, self.policy.scheduling);
-        let mut outcomes = failover_outcomes;
-        for (app, path, loss_time, failback_time) in job_meta {
-            let recovery_time = schedule.recovery_time(app).expect("every job was scheduled");
-            outcomes.push(AppOutcome { app, path, recovery_time, loss_time, failback_time });
+        schedule_into(jobs, self.policy.scheduling, device_free, |slotted, done| {
+            outcomes[slotted.outcome].recovery_time = done;
+        });
+        // Protections come in app order from every caller in this
+        // workspace; sort only what arrives otherwise.
+        if !outcomes.is_sorted_by_key(|o| o.app) {
+            outcomes.sort_by_key(|o| o.app);
         }
-        outcomes.sort_by_key(|o| o.app);
         dsd_obs::add("recovery.scenarios_evaluated", 1);
         if dsd_obs::enabled() {
             let scope_kind = match scope {
@@ -463,7 +482,6 @@ impl<'a> Evaluator<'a> {
                 ],
             );
         }
-        ScenarioOutcome { scope: *scope, outcomes }
     }
 
     /// Expected annual penalties over all `scenarios` (paper §2.5: each
@@ -475,7 +493,9 @@ impl<'a> Evaluator<'a> {
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
     ) -> PenaltySummary {
-        self.fold_penalties(protections, scenarios, Outcomes::Computed, ()).0
+        self.fold_penalties(protections, scenarios, Outcomes::Computed, (), |_, _| false)
+            .expect("an unbounded fold runs to the end")
+            .0
     }
 
     /// [`Self::annual_penalties`] with full cost attribution: alongside
@@ -492,16 +512,25 @@ impl<'a> Evaluator<'a> {
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
     ) -> (PenaltySummary, Vec<PenaltyItem>) {
-        self.fold_penalties(protections, scenarios, Outcomes::Computed, Vec::new())
+        self.fold_penalties(protections, scenarios, Outcomes::Computed, Vec::new(), |_, _| false)
+            .expect("an unbounded fold runs to the end")
     }
 
-    /// [`Self::annual_penalties`] with scope-keyed scenario memoization:
-    /// a scenario whose dependency-slice digest matches a cached entry
-    /// replays the stored outcome, without a clone, instead of
-    /// re-scheduling it. The likelihood-weighted accumulation runs
-    /// through the same code as the uncached path, so the totals are
-    /// bit-identical whenever every replayed outcome is (the digest's
-    /// contract).
+    /// [`Self::annual_penalties`] with scope-keyed scenario memoization
+    /// and an early exit: a scenario whose dependency-slice digest
+    /// matches a cached entry replays the stored outcome, without a
+    /// clone, instead of re-scheduling it; and after each scenario's
+    /// items, `stop` sees the running `(outage, loss)` totals. The fold
+    /// returns `None` as soon as `stop` holds, skipping the scenarios
+    /// left, and the full summary otherwise. The likelihood-weighted
+    /// accumulation runs through the same code as the uncached path, so
+    /// a fold that runs to the end is bit-identical to it whenever every
+    /// replayed outcome is (the digest's contract).
+    ///
+    /// Every weighted item is non-negative (or NaN), so the running
+    /// totals only grow: a `stop` that is monotone in them may end the
+    /// fold once the final totals could no longer matter (DESIGN.md
+    /// §6f). Pass `|_, _| false` to fold every scenario.
     ///
     /// `digests[i]` must be the dependency-slice digest of
     /// `scenarios[i]` for the provision this evaluator was built over —
@@ -520,8 +549,10 @@ impl<'a> Evaluator<'a> {
         scenarios: &[FailureScenario],
         digests: &[ScenarioDigest],
         cache: &mut ScenarioOutcomeCache,
-    ) -> PenaltySummary {
-        self.fold_penalties(protections, scenarios, Outcomes::Cached { digests, cache }, ()).0
+        stop: impl FnMut(Dollars, Dollars) -> bool,
+    ) -> Option<PenaltySummary> {
+        let source = Outcomes::Cached { digests, cache };
+        self.fold_penalties(protections, scenarios, source, (), stop).map(|(summary, ())| summary)
     }
 
     /// The one penalty fold behind every `annual_penalties*` entry point:
@@ -530,34 +561,42 @@ impl<'a> Evaluator<'a> {
     /// scenario order (then app order), and hands the per-app line items
     /// to `collect`. Every entry point thus performs literally the same
     /// floating-point operations in the same order, so cached, attributed
-    /// and plain totals are bit-identical.
+    /// and plain totals are bit-identical. After each scenario, `stop`
+    /// sees the running totals; when it holds the fold ends with `None`.
+    /// One scratch serves every scenario the fold evaluates.
     fn fold_penalties<C: Collect>(
         &self,
         protections: &[AppProtection],
         scenarios: &[FailureScenario],
         mut source: Outcomes<'_>,
         mut collect: C,
-    ) -> (PenaltySummary, C) {
+        mut stop: impl FnMut(Dollars, Dollars) -> bool,
+    ) -> Option<(PenaltySummary, C)> {
         if let Outcomes::Cached { digests, .. } = &source {
             assert_eq!(scenarios.len(), digests.len(), "one dependency-slice digest per scenario");
         }
         let mut penalties_span = dsd_obs::span("recovery.annual_penalties", "recovery");
         penalties_span.arg("scenarios", scenarios.len());
+        let mut scratch = Scratch::default();
         let mut summary = PenaltySummary::default();
         for (i, scenario) in scenarios.iter().enumerate() {
-            let computed;
-            let outcome = match &mut source {
+            let outcomes: &[AppOutcome] = match &mut source {
                 Outcomes::Computed => {
-                    computed = self.evaluate_scenario(protections, &scenario.scope);
-                    &computed
+                    self.recover(protections, &scenario.scope, &mut scratch);
+                    &scratch.outcomes
                 }
                 Outcomes::Cached { digests, cache } => {
-                    cache.get_or_insert_with(&scenario.scope, digests[i], || {
-                        self.evaluate_scenario(protections, &scenario.scope)
-                    })
+                    let cached = cache.get_or_insert_with(&scenario.scope, digests[i], || {
+                        self.recover(protections, &scenario.scope, &mut scratch);
+                        ScenarioOutcome {
+                            scope: scenario.scope,
+                            outcomes: scratch.outcomes.clone(),
+                        }
+                    });
+                    &cached.outcomes
                 }
             };
-            for o in &outcome.outcomes {
+            for o in outcomes {
                 let model = self.workloads[o.app].penalty_model();
                 let outage_raw = model.outage_penalty(o.recovery_time);
                 let loss_raw = model.loss_penalty(o.loss_time);
@@ -569,7 +608,7 @@ impl<'a> Evaluator<'a> {
                 entry.0 += outage;
                 entry.1 += loss;
                 collect.item(PenaltyItem {
-                    scope: outcome.scope,
+                    scope: scenario.scope,
                     likelihood: scenario.likelihood,
                     app: o.app,
                     path: o.path,
@@ -582,8 +621,37 @@ impl<'a> Evaluator<'a> {
                     loss,
                 });
             }
+            if stop(summary.outage, summary.loss) {
+                dsd_obs::add("recovery.folds_stopped", 1);
+                dsd_obs::add("recovery.scenarios_skipped", (scenarios.len() - (i + 1)) as u64);
+                return None;
+            }
         }
-        (summary, collect)
+        Some((summary, collect))
+    }
+}
+
+/// Buffers a penalty fold shares across its scenarios: the restore
+/// jobs, the scheduler's device table, and the outcomes of the scenario
+/// being priced.
+#[derive(Debug, Default)]
+struct Scratch {
+    jobs: Vec<SlottedJob>,
+    device_free: DeviceTable,
+    outcomes: Vec<AppOutcome>,
+}
+
+/// A restore job and the index of its application's outcome, which the
+/// schedule fills in.
+#[derive(Debug)]
+struct SlottedJob {
+    outcome: usize,
+    job: RecoveryJob,
+}
+
+impl AsRef<RecoveryJob> for SlottedJob {
+    fn as_ref(&self) -> &RecoveryJob {
+        &self.job
     }
 }
 
@@ -889,10 +957,14 @@ mod tests {
 
         let full = ev.annual_penalties(protections, &scenarios);
         let mut cache = ScenarioOutcomeCache::new();
-        let cold = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
+        let cached = |cache: &mut ScenarioOutcomeCache| {
+            ev.annual_penalties_cached(protections, &scenarios, &digests, cache, |_, _| false)
+                .expect("a fold that never stops runs to the end")
+        };
+        let cold = cached(&mut cache);
         assert_eq!(cache.recomputed(), scenarios.len() as u64);
         assert_eq!(cache.hits(), 0);
-        let warm = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
+        let warm = cached(&mut cache);
         assert_eq!(cache.hits(), scenarios.len() as u64, "second pass is all hits");
 
         for (a, b) in [(&full, &cold), (&full, &warm)] {
@@ -916,6 +988,53 @@ mod tests {
     }
 
     #[test]
+    fn a_bounded_fold_stops_once_its_running_total_reaches_the_bound() {
+        let (w, p, prot) = setup("sync mirror (F) with backup");
+        let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
+        let model = FailureModel::new(FailureRates::case_study());
+        let scenarios = model.enumerate([(AppId(0), prot.placement.primary)]);
+        let digests: Vec<ScenarioDigest> =
+            (0..scenarios.len()).map(|i| ScenarioDigest(i as u64, 1)).collect();
+        let protections = std::slice::from_ref(&prot);
+        let full = ev.annual_penalties(protections, &scenarios);
+        let (_, items) = ev.annual_penalties_attributed(protections, &scenarios);
+        let first = items.iter().take_while(|i| i.scope == scenarios[0].scope);
+        let first_total: Dollars = first.map(PenaltyItem::weighted_total).sum();
+        assert!(first_total < full.total(), "the later scenarios add penalty");
+
+        // A bound the first scenario reaches ends the fold there: the
+        // rest are neither evaluated nor cached.
+        let mut cache = ScenarioOutcomeCache::new();
+        let mut seen = Vec::new();
+        let stopped =
+            ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache, |o, l| {
+                seen.push(o + l);
+                o + l >= first_total
+            });
+        assert_eq!(stopped, None);
+        assert_eq!(seen.len(), 1, "the predicate runs after each scenario");
+        assert_eq!(cache.recomputed(), 1);
+
+        // A bound above the total lets it run to the end, bit for bit,
+        // and the predicate sees the running totals grow to the total.
+        let mut seen = Vec::new();
+        let summary = ev
+            .annual_penalties_cached(protections, &scenarios, &digests, &mut cache, |o, l| {
+                seen.push(o + l);
+                false
+            })
+            .expect("never stopped");
+        assert_eq!(summary, full);
+        assert_eq!(seen.len(), scenarios.len());
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "running totals only grow");
+        assert_eq!(
+            seen.last().map(|t| t.as_f64().to_bits()),
+            Some(full.total().as_f64().to_bits())
+        );
+        assert_eq!((cache.hits(), cache.recomputed()), (1, scenarios.len() as u64));
+    }
+
+    #[test]
     fn every_penalty_entry_point_opens_one_span() {
         let (w, p, prot) = setup("sync mirror (F) with backup");
         let ev = Evaluator::new(&w, &p, RecoveryPolicy::default());
@@ -930,7 +1049,13 @@ mod tests {
             let _g = recorder.install();
             let _ = ev.annual_penalties(protections, &scenarios);
             let _ = ev.annual_penalties_attributed(protections, &scenarios);
-            let _ = ev.annual_penalties_cached(protections, &scenarios, &digests, &mut cache);
+            let _ = ev.annual_penalties_cached(
+                protections,
+                &scenarios,
+                &digests,
+                &mut cache,
+                |_, _| false,
+            );
         }
         let spans = recorder
             .drain_events()

@@ -22,7 +22,8 @@
 //! the provisioned infrastructure, and a failure scenario list. One
 //! penalty fold prices every scenario, with three ways in: the totals
 //! ([`Evaluator::annual_penalties`]), the totals with scope-keyed
-//! memoization ([`Evaluator::annual_penalties_cached`]), and the totals
+//! memoization and an early exit once a caller's bound is reached
+//! ([`Evaluator::annual_penalties_cached`]), and the totals
 //! with one [`PenaltyItem`] per (scenario × affected application)
 //! ([`Evaluator::annual_penalties_attributed`]). The items are the one
 //! per-scenario record the reports read: [`Availability::from_items`]
@@ -48,6 +49,6 @@ pub use evaluate::{
 pub use policy::RecoveryPolicy;
 pub use protection::{AppProtection, Placement};
 pub use scenario_cache::{ScenarioDigest, ScenarioOutcomeCache, SCENARIO_CACHE_WAYS};
-pub use scheduler::{schedule_jobs_with, RecoveryJob, Schedule, SchedulingPolicy};
+pub use scheduler::{schedule_jobs_with, JobDevices, RecoveryJob, Schedule, SchedulingPolicy};
 pub use survival::surviving_copies;
 pub use vulnerability::VulnerabilityWindow;

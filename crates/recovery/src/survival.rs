@@ -25,30 +25,48 @@ use crate::protection::AppProtection;
 /// vault).
 #[must_use]
 pub fn surviving_copies(protection: &AppProtection, scope: &FailureScope) -> Vec<CopyKind> {
-    let placement = &protection.placement;
-    let technique = &protection.technique;
-    let mut out = Vec::with_capacity(4);
+    Survivors::of(protection, scope).iter().collect()
+}
 
-    if let Some(mirror) = placement.mirror {
-        if technique.has_mirror()
-            && !scope.fails_array(mirror)
-            && !scope.corrupts_data_of(protection.app)
-        {
-            out.push(CopyKind::Mirror);
-        }
+/// The rule behind [`surviving_copies`], as a set that needs no heap:
+/// the scenario evaluator asks it once per affected application.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Survivors([bool; 4]);
+
+impl Survivors {
+    /// The copy kinds in increasing staleness order, one per flag.
+    const ORDER: [CopyKind; 4] =
+        [CopyKind::Mirror, CopyKind::Snapshot, CopyKind::Backup, CopyKind::Vault];
+
+    /// The copies of `protection.app` that survive `scope`.
+    pub(crate) fn of(protection: &AppProtection, scope: &FailureScope) -> Self {
+        let placement = &protection.placement;
+        let technique = &protection.technique;
+        let mirror = placement.mirror.is_some_and(|mirror| {
+            technique.has_mirror()
+                && !scope.fails_array(mirror)
+                && !scope.corrupts_data_of(protection.app)
+        });
+        let snapshot = technique.has_backup() && !scope.fails_array(placement.primary);
+        let backup =
+            placement.tape.is_some_and(|tape| technique.has_backup() && !scope.fails_tape(tape));
+        Survivors([mirror, snapshot, backup, technique.has_vault()])
     }
-    if technique.has_backup() && !scope.fails_array(placement.primary) {
-        out.push(CopyKind::Snapshot);
+
+    /// The surviving copies, in increasing staleness order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = CopyKind> {
+        Self::ORDER.into_iter().zip(self.0).filter_map(|(copy, survives)| survives.then_some(copy))
     }
-    if let Some(tape) = placement.tape {
-        if technique.has_backup() && !scope.fails_tape(tape) {
-            out.push(CopyKind::Backup);
-        }
+
+    /// True if no copy survives.
+    pub(crate) fn is_empty(self) -> bool {
+        !self.0.contains(&true)
     }
-    if technique.has_vault() {
-        out.push(CopyKind::Vault);
+
+    /// True if `copy` survives.
+    pub(crate) fn contains(self, copy: CopyKind) -> bool {
+        self.iter().any(|c| c == copy)
     }
-    out
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dsd_recovery::{schedule_jobs_with, RecoveryJob, SchedulingPolicy};
+use dsd_recovery::{schedule_jobs_with, JobDevices, RecoveryJob, SchedulingPolicy};
 use dsd_resources::{ArrayRef, DeviceRef, SiteId, TapeRef};
 use dsd_units::{DollarsPerHour, TimeSpan};
 use dsd_workload::AppId;
@@ -48,7 +48,7 @@ fn build(specs: &[JobSpec]) -> Vec<RecoveryJob> {
                 app: AppId(i),
                 priority: DollarsPerHour::new(s.priority),
                 lead_time: TimeSpan::from_hours(s.lead_h),
-                devices,
+                devices: JobDevices::new(&devices),
                 transfer: TimeSpan::from_hours(s.transfer_h),
                 tail: TimeSpan::from_hours(s.tail_h),
             }
@@ -98,7 +98,7 @@ proptest! {
         // tails) is at least the total transfer demand on any device.
         let mut per_device: std::collections::BTreeMap<DeviceRef, f64> = Default::default();
         for job in &jobs {
-            for d in &job.devices {
+            for d in job.devices.iter() {
                 *per_device.entry(*d).or_insert(0.0) += job.transfer.as_secs();
             }
         }
@@ -144,7 +144,7 @@ proptest! {
             app: marker,
             priority: DollarsPerHour::ZERO, // worst priority
             lead_time: TimeSpan::from_hours(lead_h),
-            devices: Vec::new(),
+            devices: JobDevices::NONE,
             transfer: TimeSpan::from_hours(transfer_h),
             tail: TimeSpan::ZERO,
         });
@@ -173,7 +173,7 @@ proptest! {
                 app: AppId(i),
                 priority: DollarsPerHour::new(1000.0 * i as f64),
                 lead_time: TimeSpan::ZERO,
-                devices: vec![device(0)],
+                devices: JobDevices::new(&[device(0)]),
                 transfer: TimeSpan::from_hours(t),
                 tail: TimeSpan::ZERO,
             })

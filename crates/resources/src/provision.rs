@@ -362,8 +362,9 @@ impl Provision {
     ///
     /// [`ResourceError::NoSuchArraySlot`] if the slot does not exist;
     /// [`ResourceError::DeviceExhausted`] if the combined allocations
-    /// would exceed the device's capacity or enclosure bandwidth. The
-    /// provision is unchanged on error.
+    /// would exceed the device's capacity or enclosure bandwidth, or the
+    /// disks they need plus the array's extra disks would exceed its
+    /// maximum. The provision is unchanged on error.
     pub fn alloc_array(
         &mut self,
         app: AppId,
@@ -378,6 +379,7 @@ impl Provision {
         let new_bw = state.alloc_bandwidth + bandwidth;
         let (units, _) = spec
             .units_for(new_cap, new_bw)
+            .filter(|&(units, _)| units + state.extra_units <= spec.max_capacity_units)
             .ok_or(ResourceError::DeviceExhausted { device: DeviceRef::Array(r) })?;
         self.arrays[idx] = Some(ArrayState {
             capacity_units: units,
@@ -395,7 +397,9 @@ impl Provision {
     /// # Errors
     ///
     /// [`ResourceError::NoSuchTapeSlot`] or
-    /// [`ResourceError::DeviceExhausted`]; unchanged on error.
+    /// [`ResourceError::DeviceExhausted`], the latter also when the
+    /// drives needed plus the library's extra drives would exceed its
+    /// maximum; unchanged on error.
     pub fn alloc_tape(
         &mut self,
         app: AppId,
@@ -410,6 +414,7 @@ impl Provision {
         let new_bw = state.alloc_bandwidth + bandwidth;
         let (cartridges, drives) = spec
             .units_for(new_cap, new_bw)
+            .filter(|&(_, drives)| drives + state.extra_drives <= spec.max_bandwidth_units)
             .ok_or(ResourceError::DeviceExhausted { device: DeviceRef::Tape(r) })?;
         self.tapes[idx] = Some(TapeState {
             cartridges,
@@ -429,7 +434,8 @@ impl Provision {
     ///
     /// [`ResourceError::NoRoute`] if the sites are not connected;
     /// [`ResourceError::RouteExhausted`] if the route cannot carry the
-    /// combined bandwidth. Unchanged on error.
+    /// combined bandwidth, or the links it needs plus the route's extra
+    /// links would exceed its maximum. Unchanged on error.
     pub fn alloc_network(
         &mut self,
         app: AppId,
@@ -441,7 +447,10 @@ impl Provision {
         let spec = &self.topology.route(route).network;
         let state = &self.links[route.0];
         let new_bw = state.alloc_bandwidth + bandwidth;
-        let links = spec.links_for(new_bw).ok_or(ResourceError::RouteExhausted { route })?;
+        let links = spec
+            .links_for(new_bw)
+            .filter(|&links| links + state.extra_links <= spec.max_links)
+            .ok_or(ResourceError::RouteExhausted { route })?;
         let state = &mut self.links[route.0];
         state.links = links;
         state.alloc_bandwidth = new_bw;
@@ -1069,6 +1078,52 @@ mod tests {
         assert_eq!(p.device_bandwidth(DeviceRef::Array(A0)).as_f64(), 125.0);
         let after = p.purchase_outlay();
         assert_eq!((after - before).as_f64(), 4.0 * 8723.0);
+    }
+
+    #[test]
+    fn array_allocation_counts_extra_disks_against_the_maximum() {
+        let mut p = Provision::new(topology());
+        let max = DeviceSpec::xp1200().max_capacity_units;
+        p.alloc_array(APP, A0, Gigabytes::new(143.0), MegabytesPerSec::ZERO).unwrap();
+        p.add_extra_array_units(A0, max - 1).unwrap();
+        let before = p.clone();
+        // One more disk of data needs two disks, and 2 + (max - 1) > max.
+        let err =
+            p.alloc_array(AppId(1), A0, Gigabytes::new(143.0), MegabytesPerSec::ZERO).unwrap_err();
+        assert_eq!(err, ResourceError::DeviceExhausted { device: DeviceRef::Array(A0) });
+        assert_eq!(p, before, "a refused allocation changes nothing");
+    }
+
+    #[test]
+    fn tape_allocation_counts_extra_drives_against_the_maximum() {
+        let mut p = Provision::new(topology());
+        let tape = TapeRef::first(SiteId(0));
+        let max = DeviceSpec::tape_library_high().max_bandwidth_units;
+        p.alloc_tape(APP, tape, Gigabytes::new(60.0), MegabytesPerSec::new(120.0)).unwrap();
+        p.add_extra_tape_drives(tape, max - 1).unwrap();
+        let before = p.clone();
+        let err = p
+            .alloc_tape(AppId(1), tape, Gigabytes::new(60.0), MegabytesPerSec::new(120.0))
+            .unwrap_err();
+        assert_eq!(err, ResourceError::DeviceExhausted { device: DeviceRef::Tape(tape) });
+        assert_eq!(p, before, "a refused allocation changes nothing");
+    }
+
+    #[test]
+    fn network_allocation_counts_extra_links_against_the_maximum() {
+        let mut p = Provision::new(topology());
+        let max = NetworkSpec::high().max_links;
+        let route = p.alloc_network(APP, SiteId(0), SiteId(1), MegabytesPerSec::new(1.0)).unwrap();
+        p.add_extra_links(route, max - 1).unwrap();
+        let before = p.clone();
+        let err = p
+            .alloc_network(AppId(1), SiteId(0), SiteId(1), MegabytesPerSec::new(20.0))
+            .unwrap_err();
+        assert_eq!(err, ResourceError::RouteExhausted { route });
+        assert_eq!(p, before, "a refused allocation changes nothing");
+        // An allocation the bundle's links still cover goes through.
+        p.alloc_network(AppId(1), SiteId(0), SiteId(1), MegabytesPerSec::new(1.0)).unwrap();
+        assert_eq!(p.link(route).links + p.link(route).extra_links, max);
     }
 
     #[test]

@@ -71,51 +71,50 @@ fn op_with_extras_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![op_strategy(), op_strategy(), extras]
 }
 
-/// Applies one operation; a refused operation leaves the provision as it
-/// was, which the invariants check.
-fn apply(p: &mut Provision, op: Op) {
+/// Applies one operation and returns whether it was accepted; a refused
+/// operation must leave the provision as it was.
+fn apply(p: &mut Provision, op: Op) -> bool {
     let array = |site: u8, slot: u8| ArrayRef { site: SiteId(site as usize), slot: slot as usize };
     let tape = |site: u8| TapeRef::first(SiteId(site as usize));
     match op {
-        Op::AllocArray { app, site, slot, cap, bw } => {
-            let _ = p.alloc_array(
+        Op::AllocArray { app, site, slot, cap, bw } => p
+            .alloc_array(
                 AppId(app as usize),
                 array(site, slot),
                 Gigabytes::new(cap),
                 MegabytesPerSec::new(bw),
-            );
-        }
-        Op::AllocTape { app, site, cap, bw } => {
-            let _ = p.alloc_tape(
+            )
+            .is_ok(),
+        Op::AllocTape { app, site, cap, bw } => p
+            .alloc_tape(
                 AppId(app as usize),
                 tape(site),
                 Gigabytes::new(cap),
                 MegabytesPerSec::new(bw),
-            );
-        }
+            )
+            .is_ok(),
         Op::AllocNetwork { app, a, b, bw } => {
-            if a != b {
-                let _ = p.alloc_network(
+            a != b
+                && p.alloc_network(
                     AppId(app as usize),
                     SiteId(a as usize),
                     SiteId(b as usize),
                     MegabytesPerSec::new(bw),
-                );
-            }
+                )
+                .is_ok()
         }
         Op::AllocCompute { app, site } => {
-            let _ = p.alloc_compute(AppId(app as usize), SiteId(site as usize), 1);
+            p.alloc_compute(AppId(app as usize), SiteId(site as usize), 1).is_ok()
         }
-        Op::RemoveApp { app } => p.remove_app(AppId(app as usize)),
+        Op::RemoveApp { app } => {
+            p.remove_app(AppId(app as usize));
+            true
+        }
         Op::AddArrayUnits { site, slot, extra } => {
-            let _ = p.add_extra_array_units(array(site, slot), extra);
+            p.add_extra_array_units(array(site, slot), extra).is_ok()
         }
-        Op::AddTapeDrives { site, extra } => {
-            let _ = p.add_extra_tape_drives(tape(site), extra);
-        }
-        Op::AddLinks { route, extra } => {
-            let _ = p.add_extra_links(RouteId(route as usize), extra);
-        }
+        Op::AddTapeDrives { site, extra } => p.add_extra_tape_drives(tape(site), extra).is_ok(),
+        Op::AddLinks { route, extra } => p.add_extra_links(RouteId(route as usize), extra).is_ok(),
     }
 }
 
@@ -156,6 +155,7 @@ fn check_invariants(p: &Provision, topo: &Topology) {
                     .units_for(state.alloc_capacity, state.alloc_bandwidth)
                     .expect("existing allocations always fit");
                 assert_eq!((state.cartridges, state.drives), (carts, drives));
+                assert!(state.drives + state.extra_drives <= spec.max_bandwidth_units);
             }
         }
         assert!(p.compute(site.id).used <= site.max_compute);
@@ -189,6 +189,21 @@ proptest! {
         check_invariants(&p, &topo);
         prop_assert_eq!(p.purchase_outlay(), Dollars::ZERO);
         prop_assert_eq!(p.allocated_apps().count(), 0);
+    }
+
+    #[test]
+    fn extra_units_never_push_a_device_past_its_maximum(
+        ops in prop::collection::vec(op_with_extras_strategy(), 1..60)
+    ) {
+        let topo = topology();
+        let mut p = Provision::new(topo.clone());
+        for op in ops {
+            let before = p.clone();
+            if !apply(&mut p, op) {
+                prop_assert_eq!(&p, &before, "a refused operation changes nothing");
+            }
+            check_invariants(&p, &topo);
+        }
     }
 
     #[test]

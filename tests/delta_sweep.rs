@@ -10,6 +10,7 @@ use dsd::core::{
 };
 use dsd::obs::Recorder;
 use dsd::scenarios::fleet::{fleet, FleetParams};
+use dsd::units::Dollars;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -90,11 +91,13 @@ fn delta_sweep_matches_the_full_oracle_and_mostly_replays_scenarios() {
 /// Greedy best-fit from an empty candidate, the applications in id
 /// order: every eligible technique × placement of the next application
 /// is tried as an insertion on the one candidate. In place, with one
-/// shared scenario cache, each trial's cost must bit-equal the full
-/// oracle (clone, apply the move, evaluate), and after the undo the
-/// candidate must price exactly as before the trial. The cheapest trial
-/// is committed before the next application. Returns the number of
-/// trials priced.
+/// shared scenario cache, each trial is first priced against the
+/// running best (`score_below`, as greedy best-fit prices it), which
+/// must return its cost exactly when the cost beats that best; its cost
+/// must bit-equal the full oracle (clone, apply the move, evaluate),
+/// and after the undo the candidate must price exactly as before the
+/// trial. The cheapest trial is committed before the next application.
+/// Returns the number of trials priced.
 fn insertion_sweep(env: &Environment) -> usize {
     let mut candidate = Candidate::empty(env);
     let mut cache = ScenarioOutcomeCache::new();
@@ -102,7 +105,7 @@ fn insertion_sweep(env: &Environment) -> usize {
     for app in env.workloads.ids() {
         let before = candidate.clone().evaluate(env).total().as_f64().to_bits();
         let class = env.workloads[app].class_with(&env.thresholds);
-        let mut best: Option<(f64, Move)> = None;
+        let mut best: Option<(Dollars, Move)> = None;
         for (technique, t) in env.catalog.eligible_for(class) {
             for placement in PlacementOptions::enumerate(env, technique) {
                 let mv = Move::Reassign { app, technique, config: t.default_config(), placement };
@@ -113,11 +116,20 @@ fn insertion_sweep(env: &Environment) -> usize {
                     assert_eq!(expected, None, "{mv:?}: only the oracle applies");
                     continue;
                 };
+                // A stopped fold stores no cost, so the unbounded price
+                // below then folds every scenario itself.
+                let bound = best.as_ref().map(|&(c, _)| c);
+                let bounded = candidate.score_below(env, &mut cache, bound);
                 let cost = candidate.evaluate_with(env, &mut cache).total();
                 assert_eq!(
                     Some(cost.as_f64().to_bits()),
                     expected.map(|c| c.as_f64().to_bits()),
                     "{mv:?}: in-place and full evaluation disagree"
+                );
+                assert_eq!(
+                    bounded.map(|c| c.as_f64().to_bits()),
+                    bound.is_none_or(|b| cost < b).then_some(cost.as_f64().to_bits()),
+                    "{mv:?}: bounded pricing against {bound:?} disagrees"
                 );
                 candidate.undo_move(undo);
                 let undone = candidate.evaluate_with(env, &mut cache).total();
@@ -127,8 +139,8 @@ fn insertion_sweep(env: &Environment) -> usize {
                     "{mv:?}: the undo prices differently"
                 );
                 trials += 1;
-                if best.as_ref().is_none_or(|&(c, _)| cost.as_f64() < c) {
-                    best = Some((cost.as_f64(), mv));
+                if best.as_ref().is_none_or(|&(c, _)| cost < c) {
+                    best = Some((cost, mv));
                 }
             }
         }
